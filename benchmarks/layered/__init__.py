@@ -1,0 +1,2 @@
+"""One layered benchmark: five FDP workloads, end-to-end metrics and an
+outside-in per-layer trace. See README.md in this directory."""
