@@ -7,24 +7,14 @@ downstream user sizing an experiment cares about:
 * snapshot construction cost on a dense state (the dominant analysis
   primitive);
 * the SINGLE-oracle fast path vs the definitional snapshot computation
-  (the profiling-driven optimization this suite keeps honest);
-* monitored throughput: per-step Lemma 2/3 monitors (``check_every=1``)
-  under the incremental graph path vs legacy rebuild-on-read.
+  (the profiling-driven optimization this suite keeps honest).
 
-Run as a module for the CI smoke check::
-
-    PYTHONPATH=src:. python benchmarks/bench_throughput.py --smoke
-
-which writes ``benchmarks/results/BENCH_incremental_graph.json`` with
-steps/sec for n ∈ {64, 256} in both graph modes and asserts the
-incremental path's speedup at n = 256.
+Monitored throughput (per-step invariant monitors on the live graph) is
+measured by the layered benchmark's ``supervised`` workload
+(``benchmarks/layered/``).
 """
 
-import argparse
-import sys
-
-from benchmarks.common import BUDGET, save_json
-from repro.analysis.profiling import observation_cost
+from benchmarks.common import BUDGET
 from repro.core.potential import fdp_legitimate
 from repro.core.scenarios import HEAVY_CORRUPTION, build_fdp_engine, choose_leaving
 from repro.graphs import generators as gen
@@ -91,77 +81,3 @@ def test_partner_definitional_path(benchmark):
 
     total = benchmark(all_partners)
     assert total == 48 * 47
-
-
-# ------------------------------------------------------- monitored throughput
-
-
-def test_monitored_throughput_incremental(benchmark):
-    """Per-step monitors on the live-graph path (the supported default)."""
-    result = benchmark.pedantic(
-        lambda: observation_cost(64, "incremental", steps=1_000),
-        rounds=3,
-        iterations=1,
-    )
-    assert result["steps"] > 0
-
-
-def test_monitored_throughput_rebuild(benchmark):
-    """Per-step monitors forcing a snapshot rebuild per check — the cost
-    the incremental path removed, kept visible as a baseline."""
-    result = benchmark.pedantic(
-        lambda: observation_cost(64, "rebuild", steps=1_000),
-        rounds=3,
-        iterations=1,
-    )
-    assert result["steps"] > 0
-
-
-# ------------------------------------------------------------- CI smoke entry
-
-
-def smoke(sizes=(64, 256), steps=2_000) -> dict:
-    """One monitored run per (n, mode); returns the JSON payload."""
-    runs = []
-    for n in sizes:
-        for mode in ("rebuild", "incremental"):
-            runs.append(observation_cost(n, mode, steps=steps))
-    payload = {"benchmark": "incremental_graph", "steps_budget": steps, "runs": runs}
-    by = {(r["n"], r["mode"]): r for r in runs}
-    for n in sizes:
-        speedup = by[(n, "incremental")]["steps_per_s"] / by[(n, "rebuild")]["steps_per_s"]
-        payload[f"speedup_n{n}"] = round(speedup, 1)
-    return payload
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the monitored-throughput comparison and write "
-        "benchmarks/results/BENCH_incremental_graph.json",
-    )
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("nothing to do; pass --smoke (pytest runs the benchmarks)")
-    payload = smoke()
-    path = save_json("BENCH_incremental_graph", payload)
-    for run in payload["runs"]:
-        print(
-            f"n={run['n']:>4} mode={run['mode']:<12} "
-            f"steps/s={run['steps_per_s']:>10.1f} "
-            f"observe={100 * run['observe_frac']:5.1f}%"
-        )
-    for key, value in sorted(payload.items()):
-        if key.startswith("speedup_"):
-            print(f"{key}: {value}x")
-    print(f"wrote {path}")
-    ok = payload["speedup_n256"] >= 5.0
-    if not ok:
-        print("FAIL: expected >= 5x speedup at n=256", file=sys.stderr)
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

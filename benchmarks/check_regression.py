@@ -1,15 +1,13 @@
 """Bench-regression gate: fresh smoke run vs the committed baseline.
 
-Loads the committed ``benchmarks/results/BENCH_incremental_graph.json``,
-``BENCH_telemetry.json``, and ``BENCH_chaos.json`` *before* re-running
-the smoke benchmarks (whose ``save_json`` would overwrite them),
-measures afresh, and fails if
+Loads the committed ``benchmarks/results/BENCH_*.json`` baselines
+*before* re-running the smoke benchmarks (whose ``save_json`` would
+overwrite them), measures afresh, and fails if
 
-* any incremental-mode steps/sec figure dropped more than
-  ``--tolerance`` (default 30%) below the committed number, or
 * the JSONL trace sink's overhead vs tracing-off exceeds the 15%
   budget recorded in the telemetry baseline, or the tracing-off
-  steps/sec dropped more than ``--tolerance`` below the committed one, or
+  steps/sec dropped more than ``--tolerance`` (default 30%) below the
+  committed one, or
 * the default watchdog set's overhead vs the unsupervised run exceeds
   the 15% budget recorded in the chaos baseline, or the unsupervised
   steps/sec dropped more than ``--tolerance`` below the committed one, or
@@ -34,11 +32,10 @@ measures afresh, and fails if
   loss (the last three are absolute).
 
 Two kinds of drift can trip this gate: a real hot-path regression, or a
-slower CI host than the one that committed the baseline. The rebuild-mode
-rows are exempt on purpose — they are the legacy path kept only for
-comparison — and ``--tolerance`` exists to absorb ordinary host jitter;
-if the gate fires across the board (every row down by a similar factor)
-suspect the host, re-baseline deliberately, and say so in the commit.
+slower CI host than the one that committed the baseline. ``--tolerance``
+exists to absorb ordinary host jitter; if the gate fires across the
+board (every row down by a similar factor) suspect the host, re-baseline
+deliberately, and say so in the commit.
 
 Usage::
 
@@ -55,11 +52,7 @@ from benchmarks.bench_churn import smoke as churn_smoke
 from benchmarks.bench_netfault import smoke as netfault_smoke
 from benchmarks.bench_step_loop import soa_smoke
 from benchmarks.bench_telemetry import smoke as telemetry_smoke
-from benchmarks.bench_throughput import smoke
 
-COMMITTED = (
-    pathlib.Path(__file__).parent / "results" / "BENCH_incremental_graph.json"
-)
 COMMITTED_TELEMETRY = (
     pathlib.Path(__file__).parent / "results" / "BENCH_telemetry.json"
 )
@@ -75,29 +68,6 @@ COMMITTED_CHURN = (
 COMMITTED_NETFAULT = (
     pathlib.Path(__file__).parent / "results" / "BENCH_netfault.json"
 )
-
-
-def compare(committed: dict, fresh: dict, tolerance: float) -> list[str]:
-    """Return one failure line per incremental run below the floor."""
-    committed_by = {
-        (r["n"], r["mode"]): r["steps_per_s"] for r in committed["runs"]
-    }
-    failures = []
-    for run in fresh["runs"]:
-        if run["mode"] != "incremental":
-            continue
-        key = (run["n"], run["mode"])
-        base = committed_by.get(key)
-        if base is None or base <= 0:
-            continue
-        floor = base * (1.0 - tolerance)
-        if run["steps_per_s"] < floor:
-            failures.append(
-                f"n={run['n']} {run['mode']}: {run['steps_per_s']:.1f} steps/s "
-                f"< floor {floor:.1f} (committed {base:.1f}, "
-                f"tolerance {tolerance:.0%})"
-            )
-    return failures
 
 
 def compare_telemetry(committed: dict, fresh: dict, tolerance: float) -> list[str]:
@@ -256,12 +226,6 @@ def main(argv=None) -> int:
         help="allowed fractional drop below the committed steps/s",
     )
     parser.add_argument(
-        "--committed",
-        type=pathlib.Path,
-        default=COMMITTED,
-        help="baseline JSON to compare against",
-    )
-    parser.add_argument(
         "--committed-telemetry",
         type=pathlib.Path,
         default=COMMITTED_TELEMETRY,
@@ -292,18 +256,11 @@ def main(argv=None) -> int:
         help="unreliable-underlay baseline JSON to compare against",
     )
     args = parser.parse_args(argv)
-    committed = json.loads(args.committed.read_text())
     committed_telemetry = json.loads(args.committed_telemetry.read_text())
     committed_chaos = json.loads(args.committed_chaos.read_text())
     committed_soa = json.loads(args.committed_soa.read_text())
     committed_churn = json.loads(args.committed_churn.read_text())
     committed_netfault = json.loads(args.committed_netfault.read_text())
-    fresh = smoke()
-    for run in fresh["runs"]:
-        print(
-            f"n={run['n']:>4} mode={run['mode']:<12} "
-            f"steps/s={run['steps_per_s']:>10.1f}"
-        )
     fresh_telemetry = telemetry_smoke()
     for run in fresh_telemetry["runs"]:
         print(
@@ -336,8 +293,7 @@ def main(argv=None) -> int:
         f"traffic_violations={fresh_netfault['traffic']['violations']} "
         f"converged={fresh_netfault['all_converged']}"
     )
-    failures = compare(committed, fresh, args.tolerance)
-    failures += compare_telemetry(
+    failures = compare_telemetry(
         committed_telemetry, fresh_telemetry, args.tolerance
     )
     failures += compare_chaos(committed_chaos, fresh_chaos, args.tolerance)
@@ -357,7 +313,18 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    print("no regression: incremental steps/s within tolerance of baseline")
+    checked = (
+        args.committed_telemetry,
+        args.committed_chaos,
+        args.committed_soa,
+        args.committed_churn,
+        args.committed_netfault,
+    )
+    print(
+        "no regression against "
+        + ", ".join(path.name for path in checked)
+        + f" (tolerance {args.tolerance:.0%})"
+    )
     return 0
 
 

@@ -1,10 +1,10 @@
 """Profiling hooks: measure before optimizing (per the HPC guides).
 
 Small wrappers around :mod:`cProfile` and :mod:`time` so experiments can
-answer "where does simulation time go?" without ceremony. The headline
-insight already baked into the engine — snapshot construction dominating
-naive per-step monitoring — came from exactly these hooks; they stay in
-the library so future changes can be re-measured instead of guessed at.
+answer "where does simulation time go?" without ceremony. The engine's
+live graph exists because these hooks showed snapshot construction
+dominating per-step monitoring; they stay in the library so future
+changes can be re-measured instead of guessed at.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = [
     "profile_scenario",
     "Stopwatch",
     "time_block",
-    "TimedMonitor",
-    "observation_cost",
 ]
 
 
@@ -152,91 +150,3 @@ def time_block(label: str, sink: Callable[[str], None] = print):
         yield
     finally:
         sink(f"{label}: {(time.perf_counter() - start) * 1000:.1f} ms")
-
-
-@dataclass
-class TimedMonitor:
-    """Wraps an engine monitor, accumulating its wall-clock cost.
-
-    Attach ``TimedMonitor(ConnectivityMonitor(1))`` instead of the bare
-    monitor and afterwards read ``elapsed``/``calls`` to know how much of
-    a run went into *observation* (invariant checking) as opposed to
-    simulation proper. This is the instrument behind the engine's
-    rebuild-vs-incremental comparison: same protocol work, different
-    observation cost.
-    """
-
-    inner: Callable
-    elapsed: float = 0.0
-    calls: int = 0
-
-    def __call__(self, engine, executed) -> None:
-        start = time.perf_counter()
-        try:
-            self.inner(engine, executed)
-        finally:
-            self.elapsed += time.perf_counter() - start
-            self.calls += 1
-
-
-def observation_cost(
-    n: int,
-    graph_mode: str,
-    *,
-    steps: int = 2_000,
-    seed: int = 7,
-    leaving_fraction: float = 0.3,
-) -> dict:
-    """Measure the observation-time split of one monitored FDP run.
-
-    Builds a heavily corrupted FDP scenario with per-step
-    ``ConnectivityMonitor`` + ``PotentialMonitor`` (``check_every=1`` —
-    the worst case the incremental graph path exists for), runs up to
-    *steps* steps under the requested ``graph_mode``, and reports wall
-    time, steps/second, and the seconds spent inside the monitors.
-
-    Identical seed and scenario across modes, so two calls differing only
-    in ``graph_mode`` isolate the cost of rebuild-on-read observation.
-    """
-    from repro.core.potential import fdp_legitimate
-    from repro.core.scenarios import (
-        HEAVY_CORRUPTION,
-        build_fdp_engine,
-        choose_leaving,
-    )
-    from repro.graphs import generators as gen
-    from repro.sim.monitors import ConnectivityMonitor, PotentialMonitor
-
-    edges = gen.random_connected(n, extra_edges=n // 2, seed=seed)
-    leaving = choose_leaving(n, edges, fraction=leaving_fraction, seed=seed)
-    monitors = [
-        TimedMonitor(ConnectivityMonitor(check_every=1)),
-        TimedMonitor(PotentialMonitor(check_every=1)),
-    ]
-    engine = build_fdp_engine(
-        n,
-        edges,
-        leaving,
-        seed=seed,
-        corruption=HEAVY_CORRUPTION,
-        monitors=monitors,
-        graph_mode=graph_mode,
-    )
-    engine.attach()
-    start = time.perf_counter()
-    converged = engine.run(steps, until=fdp_legitimate, check_every=256)
-    wall = time.perf_counter() - start
-    observe = sum(m.elapsed for m in monitors)
-    executed = engine.step_count
-    return {
-        "mode": graph_mode,
-        "n": n,
-        "steps": executed,
-        "wall_s": round(wall, 4),
-        "steps_per_s": round(executed / wall, 1) if wall > 0 else 0.0,
-        "observe_s": round(observe, 4),
-        "observe_frac": round(observe / wall, 4) if wall > 0 else 0.0,
-        "monitor_calls": sum(m.calls for m in monitors),
-        "converged": converged,
-        "phi": engine.potential(),
-    }

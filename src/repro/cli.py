@@ -13,9 +13,6 @@ Installed as ``python -m repro``. Subcommands:
 * ``baseline`` — the Foreback-style sorted-list departure baseline;
 * ``transform`` — plan and verify a Theorem 1 primitive schedule between
   two named topologies;
-* ``bench-monitors`` — run one monitored scenario under both graph modes
-  (incremental live-graph vs legacy rebuild-on-read) and print the
-  observation-cost table;
 * ``trace`` — record a run to a JSONL trace file, inspect a trace, or
   replay one bit-identically (docs/OBSERVABILITY.md);
 * ``chaos`` — run a scenario under a mid-run fault campaign with
@@ -718,38 +715,6 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_bench_monitors(args) -> int:
-    from repro.analysis.profiling import observation_cost
-
-    rows = []
-    for mode in ("rebuild", "incremental"):
-        r = observation_cost(args.n, mode, steps=args.steps, seed=args.seed)
-        rows.append(
-            [
-                r["mode"],
-                r["steps"],
-                f"{r['wall_s']:.3f}",
-                f"{r['steps_per_s']:.1f}",
-                f"{r['observe_s']:.3f}",
-                f"{100 * r['observe_frac']:.1f}%",
-            ]
-        )
-    print(
-        format_table(
-            ["graph mode", "steps", "wall s", "steps/s", "observe s", "observe %"],
-            rows,
-            title=f"per-step Lemma 2/3 monitoring cost, n={args.n} "
-            "(same scenario, both observation paths)",
-        )
-    )
-    rebuild_rate = float(rows[0][3])
-    if rebuild_rate > 0:
-        print(f"\nincremental speedup: {float(rows[1][3]) / rebuild_rate:.1f}x")
-    else:
-        print("\nincremental speedup: n/a (scenario quiesced immediately)")
-    return 0
-
-
 def cmd_profile(args) -> int:
     from repro.analysis.profiling import profile_scenario
 
@@ -1109,15 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an FDP scenario and print every probe + top Φ holders",
     )
     p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser(
-        "bench-monitors",
-        help="compare per-step monitoring cost: incremental vs rebuild",
-    )
-    p.add_argument("--n", type=int, default=128, help="number of processes")
-    p.add_argument("--steps", type=int, default=2_000, help="step budget per mode")
-    p.add_argument("--seed", type=int, default=7, help="master seed")
-    p.set_defaults(func=cmd_bench_monitors)
 
     p = sub.add_parser(
         "profile",

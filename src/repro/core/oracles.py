@@ -57,10 +57,8 @@ class SingleOracle:
 
     def __call__(self, engine: Engine, pid: int) -> bool:
         # engine.partner_pids implements exactly this predicate's partner
-        # set. In incremental graph mode it is an O(deg) read of the live
-        # partner index; in rebuild mode the limit stops the legacy scan
-        # as soon as a second partner is certain.
-        return len(engine.partner_pids(pid, limit=1)) <= 1
+        # set: an O(deg) read of the live partner index.
+        return len(engine.partner_pids(pid)) <= 1
 
     def __repr__(self) -> str:
         return "SingleOracle()"

@@ -55,9 +55,8 @@ __all__ = [
 def potential(engine: Engine) -> int:
     """Φ: the number of edges carrying invalid mode information.
 
-    An O(1) counter read in the engine's incremental graph mode (the
-    live graph buckets incident beliefs per target pid); a full edge
-    scan only in rebuild mode.
+    An O(1) counter read: the engine's live graph buckets incident
+    beliefs per target pid.
     """
     return engine.potential()
 
@@ -175,7 +174,7 @@ def relevant_connected_per_component(engine: Engine) -> bool:
     relevant processes remain weakly connected (paths through any relevant
     process count).
 
-    Served by the engine's live graph in incremental mode — no snapshot
+    Served by the engine's live graph — no snapshot
     is built, making this safe to evaluate in per-step loops.
     """
     relevant = engine.relevant_pids()

@@ -182,7 +182,6 @@ def _build_engine(
     tracer: object | None = None,
     provenance: object | None = None,
     strict: bool = True,
-    graph_mode: str | None = None,
     engine_mode: str | None = None,
 ) -> Engine:
     if n < 1:
@@ -239,7 +238,6 @@ def _build_engine(
         monitors=monitors,
         tracer=tracer,
         provenance=provenance,
-        graph_mode=graph_mode,
         engine_mode=engine_mode,
     )
 
@@ -274,7 +272,6 @@ def build_fdp_engine(
     tracer: object | None = None,
     provenance: object | None = None,
     strict: bool = True,
-    graph_mode: str | None = None,
     engine_mode: str | None = None,
 ) -> Engine:
     """An FDP run: :class:`FDPProcess` population, ``exit`` available,
@@ -294,7 +291,6 @@ def build_fdp_engine(
         tracer=tracer,
         provenance=provenance,
         strict=strict,
-        graph_mode=graph_mode,
         engine_mode=engine_mode,
     )
 
@@ -312,7 +308,6 @@ def build_framework_engine(
     monitors: Sequence[Callable] = (),
     tracer: object | None = None,
     strict: bool = True,
-    graph_mode: str | None = None,
     engine_mode: str | None = None,
 ) -> Engine:
     """A Section 4 run: P′ = framework(P) population over *logic_cls*.
@@ -380,7 +375,6 @@ def build_framework_engine(
         strict=strict,
         monitors=monitors,
         tracer=tracer,
-        graph_mode=graph_mode,
         engine_mode=engine_mode,
     )
     if corruption.garbage_per_process > 0.0:
@@ -411,7 +405,6 @@ def build_fsp_engine(
     tracer: object | None = None,
     provenance: object | None = None,
     strict: bool = True,
-    graph_mode: str | None = None,
     engine_mode: str | None = None,
 ) -> Engine:
     """An FSP run: :class:`FSPProcess` population, ``sleep`` available,
@@ -431,7 +424,6 @@ def build_fsp_engine(
         tracer=tracer,
         provenance=provenance,
         strict=strict,
-        graph_mode=graph_mode,
         engine_mode=engine_mode,
     )
 

@@ -16,8 +16,7 @@ process population (the shipped ``STANDARD_PROBES`` bug).
   (in its memory or channel).
 
 Both are analysis queries, not per-step probes: O(targets) /
-O(distinct edge keys) in incremental graph mode, one snapshot scan in
-rebuild mode.
+O(distinct edge keys) reads of the live graph's Φ buckets.
 """
 
 from __future__ import annotations
@@ -346,30 +345,17 @@ def phi_by_subject(engine: "Engine") -> dict[int, int]:
     """Φ broken down by the process the invalid information is *about*.
 
     ``sum(phi_by_subject(e).values()) == e.potential()`` always. Served
-    from the live graph's per-target Φ buckets in incremental mode; by a
-    snapshot scan in rebuild mode.
+    from the live graph's per-target Φ buckets.
     """
 
-    if engine.graph_mode == "incremental":
-        return engine.live_graph.phi_by_subject()
-    out: dict[int, int] = {}
-    snap = engine.snapshot()
-    for edge in snap.iter_invalid_edges(engine.actual_mode):
-        out[edge.dst] = out.get(edge.dst, 0) + 1
-    return out
+    return engine.live_graph.phi_by_subject()
 
 
 def phi_by_holder(engine: "Engine") -> dict[int, int]:
     """Φ broken down by the process *holding* the invalid information
     (stored in its memory or sitting in its channel)."""
 
-    if engine.graph_mode == "incremental":
-        return engine.live_graph.phi_by_holder()
-    out: dict[int, int] = {}
-    snap = engine.snapshot()
-    for edge in snap.iter_invalid_edges(engine.actual_mode):
-        out[edge.src] = out.get(edge.src, 0) + 1
-    return out
+    return engine.live_graph.phi_by_holder()
 
 
 def top_phi(

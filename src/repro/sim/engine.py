@@ -27,7 +27,7 @@ observation cost scales with the *change*, not the *system*:
 * connectivity checks use an epoch-based union-find (O(Δ) amortized);
 * ``snapshot()`` materializes an immutable
   :class:`~repro.graphs.snapshot.ProcessGraph` on demand (cached per
-  state) for analysis code that wants the full rebuild-style view.
+  state) for analysis code that wants the whole graph at once.
 
 Deltas commit at atomic-action boundaries: an oracle consulted *inside*
 an action observes the pre-action explicit edges plus all sends made so
@@ -36,9 +36,9 @@ cannot change during its own action, and the protocols' purge-to-message
 idiom (dropping a stored ref by mailing it to oneself) preserves the
 outgoing partner multiset mid-action.
 
-Setting ``REPRO_GRAPH_MODE=rebuild`` (or ``graph_mode="rebuild"``)
-selects the historical rebuild-on-read path — kept for differential
-testing against the incremental structures.
+:meth:`Engine.rebuild_snapshot` rebuilds PG by a from-scratch scan; it is
+the differential-testing oracle for the live graph, never an observation
+path.
 
 ``engine_mode`` selects the execution core the same way: ``"objects"``
 (default) runs the historical object-per-process step loop above;
@@ -211,11 +211,6 @@ class Engine:
     require_staying_per_component:
         Validate the paper's Section 3/4 precondition that every weakly
         connected component initially contains a staying process.
-    graph_mode:
-        ``"incremental"`` (default) maintains the live process graph via
-        deltas; ``"rebuild"`` restores the historical rebuild-on-read
-        observation path. ``None`` consults the ``REPRO_GRAPH_MODE``
-        environment variable (differential-testing escape hatch).
     engine_mode:
         Which execution core runs the step loop. ``"objects"`` (default)
         is the object-per-process loop. ``"soa"`` executes eligible runs
@@ -230,9 +225,8 @@ class Engine:
         ``"tracked"`` (default) drains the write-through
         :class:`~repro.sim.refs.RefDeltaLog` of processes that declare
         ``ref_tracking`` — O(writes) per action; untracked processes fall
-        back to fingerprint diffing. ``"fingerprint"`` forces the
-        historical before/after ``explicit_fingerprint`` diff for every
-        process. ``"verify"`` computes both and raises
+        back to a before/after ``explicit_fingerprint`` diff. ``"verify"``
+        computes both and raises
         :class:`~repro.errors.StateViolation` on divergence — the
         differential oracle the property suite runs under. ``None``
         consults the ``REPRO_REF_MODE`` environment variable.
@@ -252,7 +246,6 @@ class Engine:
         tracer: Any | None = None,
         provenance: Any | None = None,
         require_staying_per_component: bool = True,
-        graph_mode: str | None = None,
         ref_mode: str | None = None,
         engine_mode: str | None = None,
     ) -> None:
@@ -296,18 +289,11 @@ class Engine:
         self._snapshot_cache: ProcessGraph | None = None
         self._initial_components: tuple[frozenset[int], ...] | None = None
         self._initial_pid_union: frozenset[int] | None = None
-        if graph_mode is None:
-            graph_mode = os.environ.get("REPRO_GRAPH_MODE", "incremental")
-        if graph_mode not in ("incremental", "rebuild"):
-            raise ConfigurationError(
-                f"unknown graph_mode {graph_mode!r} (incremental|rebuild)"
-            )
-        self._graph_mode = graph_mode
         if ref_mode is None:
             ref_mode = os.environ.get("REPRO_REF_MODE", "tracked")
-        if ref_mode not in ("tracked", "fingerprint", "verify"):
+        if ref_mode not in ("tracked", "verify"):
             raise ConfigurationError(
-                f"unknown ref_mode {ref_mode!r} (tracked|fingerprint|verify)"
+                f"unknown ref_mode {ref_mode!r} (tracked|verify)"
             )
         self._ref_mode = ref_mode
         if engine_mode is None:
@@ -330,11 +316,9 @@ class Engine:
         #: out-of-band ones (fault injection, tests poking state), which
         #: mark the core stale for a rebuild.
         self._stepping = False
-        #: resolved per-run fast-path flags (set at attach, when the
-        #: graph mode is known): _track → drain write-through logs,
-        #: _ref_verify → additionally cross-check against fingerprints.
-        self._track = False
-        self._ref_verify = ref_mode == "verify"
+        #: True → drain write-through logs; False (``ref_mode="verify"``)
+        #: → additionally cross-check them against fingerprint diffs.
+        self._track = ref_mode == "tracked"
         #: pooled action context, reset per action instead of allocated.
         self._ctx = ActionContext(self, None)  # type: ignore[arg-type]
         self._live: LiveGraph | None = None
@@ -370,9 +354,7 @@ class Engine:
         self.net = None
         self.net_stats = None
         #: step index of the last observed progress event: a lifecycle
-        #: transition (both graph modes), or a strict Φ decrease
-        #: (incremental mode only — rebuild mode would pay a snapshot per
-        #: step to watch Φ, so there only transitions count).
+        #: transition or a strict Φ decrease.
         self._last_progress_step = 0
         self._last_phi_seen: int | None = None
 
@@ -406,14 +388,8 @@ class Engine:
                 self._core_stale = True
 
     @property
-    def graph_mode(self) -> str:
-        """Active observation path: ``"incremental"`` or ``"rebuild"``."""
-        return self._graph_mode
-
-    @property
     def ref_mode(self) -> str:
-        """Active ref-delta path: ``"tracked"``, ``"fingerprint"`` or
-        ``"verify"``."""
+        """Active ref-delta path: ``"tracked"`` or ``"verify"``."""
         return self._ref_mode
 
     @property
@@ -460,10 +436,10 @@ class Engine:
     def last_progress_step(self) -> int:
         """Step index of the most recent progress event.
 
-        Progress means a lifecycle transition (exit/sleep/wake) or — in
-        incremental graph mode, where Φ is an O(1) read — a strict Φ
-        decrease. Watchdogs and the budget-exhaustion diagnostics use it
-        to say *when* a stuck run last did anything useful.
+        Progress means a lifecycle transition (exit/sleep/wake) or a
+        strict Φ decrease (Φ is an O(1) live-graph read). Watchdogs and
+        the budget-exhaustion diagnostics use it to say *when* a stuck
+        run last did anything useful.
         """
         return self._last_progress_step
 
@@ -473,7 +449,7 @@ class Engine:
         The payload :meth:`run` attaches to a budget-exhaustion
         :class:`~repro.errors.ConvergenceError`: current Φ, pending
         messages, gone/asleep counts and the last-progress step. All O(1)
-        reads in incremental mode (one snapshot in rebuild mode).
+        live-graph and counter reads.
         """
         return {
             "step": self.step_count,
@@ -489,25 +465,19 @@ class Engine:
     def edge_count(self) -> int:
         """Number of edges in PG (parallel copies and self-loops counted).
 
-        O(1) in incremental mode — a live-counter read; rebuild mode
-        falls back to the (cached) snapshot. This is the sanctioned way
-        for probes and monitors to observe the edge count: reading it
-        never materializes a snapshot on the incremental path.
+        O(1) — a live-counter read. This is the sanctioned way for probes
+        and monitors to observe the edge count: reading it never
+        materializes a snapshot.
         """
-        if self._graph_mode == "incremental":
-            return self._ensure_live().edge_total
-        return len(self.snapshot().edges)
+        return self._ensure_live().edge_total
 
     @property
     def pending_count(self) -> int:
         """Messages pending across all channels (gone pids included).
 
-        O(1) in incremental mode; an O(n) channel-length sum in rebuild
-        mode (no snapshot is built either way).
+        O(1) — a live-counter read; no snapshot is built.
         """
-        if self._graph_mode == "incremental":
-            return self._ensure_live().pending_total
-        return sum(len(c) for c in self.channels.values())
+        return self._ensure_live().pending_total
 
     def _recount_lifecycle(self) -> None:
         """Recount the lifecycle tallies in one pass over the population.
@@ -559,11 +529,7 @@ class Engine:
 
     @property
     def live_graph(self) -> LiveGraph:
-        """The incrementally maintained graph view (incremental mode)."""
-        if self._graph_mode != "incremental":
-            raise ConfigurationError(
-                "live graph unavailable in rebuild graph_mode"
-            )
+        """The incrementally maintained graph view."""
         return self._ensure_live()
 
     def audit_exit(self, pid: int) -> None:
@@ -782,11 +748,8 @@ class Engine:
         self.processes[pid] = proc
         channel = Channel()
         self.channels[pid] = channel
-        incremental = self._graph_mode == "incremental"
         log = proc._ref_log  # noqa: SLF001 - engine owns the drain
-        log.enabled = (
-            incremental and self._ref_mode != "fingerprint" and proc.ref_tracking
-        )
+        log.enabled = proc.ref_tracking
         log.pending.clear()
         live = self._live
         if live is not None:
@@ -952,22 +915,16 @@ class Engine:
 
         if self._attached:
             return
-        incremental = self._graph_mode == "incremental"
-        self._track = incremental and self._ref_mode == "tracked"
-        log_consumers = incremental and self._ref_mode != "fingerprint"
         for proc in self.processes.values():
             # Arm the write-through logs only where a drain will consume
             # them; everywhere else mutations cost a single dead branch.
             log = proc._ref_log  # noqa: SLF001 - engine owns the drain
-            log.enabled = log_consumers and proc.ref_tracking
+            log.enabled = proc.ref_tracking
             log.pending.clear()
-        if incremental:
-            # Initial-state construction (planting messages, corrupting
-            # process variables) is over: scan once, stream deltas after.
-            self._build_live()
-            self._stale = True
-        else:
-            self._recount_lifecycle()
+        # Initial-state construction (planting messages, corrupting
+        # process variables) is over: scan once, stream deltas after.
+        self._build_live()
+        self._stale = True
         snap = self.snapshot()
         comps = snap.weakly_connected_components()
         self._initial_components = tuple(comps)
@@ -1140,8 +1097,6 @@ class Engine:
         ``None`` when the process's write-through log will supply the
         deltas (the O(1)-for-unchanged-refs fast path).
         """
-        if self._live is None:
-            return None
         if self._live_stale:
             # An out-of-band mutation (``_dirty``) scheduled a rebuild.
             # Do it now, before the action body runs: deferred any
@@ -1168,9 +1123,6 @@ class Engine:
         Runs before the requested lifecycle ``_transition`` so an exit
         purges exactly the edges the action left behind.
         """
-        live = self._live
-        if live is None:
-            return
         if self._live_stale:
             # An out-of-band mutation (``_dirty``) scheduled a full
             # rebuild that will re-scan this action's effects; applying
@@ -1178,13 +1130,15 @@ class Engine:
             if proc.ref_tracking:
                 proc._ref_log.pending.clear()  # noqa: SLF001
             return
+        live = self._live
         if before is None:
             pending = proc._ref_log.pending  # noqa: SLF001
             if pending:
                 live.apply_ref_deltas(pid, pending)
                 pending.clear()
             return
-        if self._ref_verify and proc.ref_tracking:
+        if proc.ref_tracking:
+            # Only verify mode takes a fingerprint of a tracked process.
             self._verify_ref_log(pid, proc, before)
         live.apply_explicit_diff(pid, before, proc)
 
@@ -1483,17 +1437,13 @@ class Engine:
         state next changes). Gone processes and their edges are excluded —
         exit removes a process and its incident edges from PG.
 
-        In incremental mode the snapshot is materialized from the live
-        counters on demand; in rebuild mode it is built by a full scan.
-        Either way the result is the same immutable analysis view.
+        The snapshot is materialized from the live graph on demand;
+        :meth:`rebuild_snapshot` is the from-scratch oracle it must equal.
         """
 
         if not self._stale and self._snapshot_cache is not None:
             return self._snapshot_cache
-        if self._graph_mode == "incremental":
-            graph = self._ensure_live().materialize()
-        else:
-            graph = self.rebuild_snapshot()
+        graph = self._ensure_live().materialize()
         self._snapshot_cache = graph
         self._stale = False
         return graph
@@ -1501,7 +1451,7 @@ class Engine:
     def rebuild_snapshot(self) -> ProcessGraph:
         """Always build the snapshot by a from-scratch scan of processes
         and channels — the differential-testing oracle for the live
-        graph, and the rebuild-mode implementation of :meth:`snapshot`."""
+        graph and :meth:`snapshot`."""
 
         nodes: list[NodeView] = []
         edges: list[Edge] = []
@@ -1529,84 +1479,22 @@ class Engine:
 
     # ------------------------------------------------------------------ oracles & Φ
 
-    def partner_pids(self, pid: int, limit: int | None = None) -> set[int]:
+    def partner_pids(self, pid: int) -> set[int]:
         """Relevant processes (≠ *pid*) having an edge with *pid*, in either
         direction — the quantity the SINGLE oracle is defined over.
 
-        Fast path: when no process is asleep (always true in FDP runs,
-        where the sleep command does not exist), *relevant* equals
-        *non-gone* and the partner set can be computed by a focused scan
-        with early exits, avoiding full snapshot construction — profiling
-        showed snapshot building dominating oracle-heavy runs. With
-        sleepers present, hibernation analysis is required and the exact
-        snapshot path is used instead.
-
-        ``limit``: stop scanning once more than *limit* distinct partners
-        are known and return the partial set. SINGLE only needs to know
-        whether the count exceeds one, so it passes ``limit=1`` — under
-        message backlogs this turns a full-system scan into a handful of
-        lookups (profiled: the dominant cost of oracle-heavy runs).
-
-        In incremental mode both arms read the live partner index
-        instead of scanning: O(deg) always, and the sleeper test is an
-        O(1) counter rather than an O(n) state scan.
+        Reads the live partner index: O(deg). With sleepers present
+        (an O(1) counter test) the set is narrowed to the relevant
+        processes, since SINGLE quantifies over those only.
         """
 
-        if self._graph_mode == "incremental":
-            if self.processes[pid].state is PState.GONE:
-                return set()
-            live = self._ensure_live()
-            partners = live.partners(pid)
-            if self.asleep_count:
-                # Hibernation-aware path: SINGLE quantifies over the
-                # relevant processes only.
-                partners &= live.relevant()
-            return partners
-        if self.asleep_count:
-            snap = self.snapshot()
-            if pid not in snap:
-                return set()
-            return snap.partners(pid, within=snap.relevant() - {pid})
-        me = self.processes[pid]
-        if me.state is PState.GONE:
+        if self.processes[pid].state is PState.GONE:
             return set()
-        target = me.self_ref
-        gone = {
-            qpid
-            for qpid, q in self.processes.items()
-            if q.state is PState.GONE
-        }
-        partners: set[int] = set()
-
-        def over_limit() -> bool:
-            return limit is not None and len(partners - gone - {pid}) > limit
-
-        # Outgoing edges: everything we store or that sits in our channel.
-        for info in me.stored_refs():
-            partners.add(pid_of(info.ref))
-            if over_limit():
-                return partners - gone - {pid}
-        for msg in self.channels[pid]:
-            for info in msg.refinfos():
-                partners.add(pid_of(info.ref))
-            if over_limit():
-                return partners - gone - {pid}
-        # Incoming edges: who stores/carries our reference (early exit per
-        # process — one hit is enough).
-        for qpid, q in self.processes.items():
-            if qpid == pid or qpid in partners or qpid in gone:
-                continue
-            found = any(info.ref == target for info in q.stored_refs())
-            if not found:
-                for msg in self.channels[qpid]:
-                    if any(info.ref == target for info in msg.refinfos()):
-                        found = True
-                        break
-            if found:
-                partners.add(qpid)
-                if over_limit():
-                    break
-        return partners - gone - {pid}
+        live = self._ensure_live()
+        partners = live.partners(pid)
+        if self.asleep_count:
+            partners &= live.relevant()
+        return partners
 
     def oracle_value(self, pid: int) -> bool:
         """Evaluate the configured oracle for process *pid*."""
@@ -1624,27 +1512,21 @@ class Engine:
         """The potential Φ of Lemma 3: number of (explicit or implicit)
         edges ``(x, y)`` whose attached belief differs from ``mode(y)``.
 
-        O(1) in incremental mode (a running counter bucketed by target
-        pid); a full snapshot scan in rebuild mode.
+        O(1) — a running live-graph counter bucketed by target pid.
         """
 
-        if self._graph_mode == "incremental":
-            return self._ensure_live().phi
-        snap = self.snapshot()
-        return sum(1 for _ in snap.iter_invalid_edges(self.actual_mode))
+        return self._ensure_live().phi
 
     def relevant_pids(self) -> frozenset[int]:
         """Pids of relevant (non-gone, non-hibernating) processes."""
-        if self._graph_mode == "incremental":
-            return self._ensure_live().relevant()
-        return self.snapshot().relevant()
+        return self._ensure_live().relevant()
 
     def members_weakly_connected(self, members: frozenset[int]) -> bool:
         """Whether *members* (all relevant) lie in one weakly connected
         component of the relevant process graph — the per-initial-
         component invariant of Lemma 2, served without a snapshot.
 
-        Sleeper-free incremental runs answer via the epoch union-find
+        Sleeper-free runs answer via the epoch union-find
         (exact: components never merge under copy-store-send protocols,
         so every path between members stays inside their component).
         With sleepers present the induced check runs directly on the
@@ -1659,16 +1541,11 @@ class Engine:
         if len(members) <= 1:
             return True
         admitted = frozenset(self.processes) - self.initial_pids
-        if self._graph_mode == "incremental":
-            live = self._ensure_live()
-            if self.asleep_count == 0:
-                return live.same_component(members)
-            via = (live.relevant() & admitted) if admitted else frozenset()
-            return live.induced_connected(members, via=via)
-        snap = self.snapshot()
-        return snap.is_weakly_connected_within(
-            members, members | (snap.relevant() & admitted)
-        )
+        live = self._ensure_live()
+        if self.asleep_count == 0:
+            return live.same_component(members)
+        via = (live.relevant() & admitted) if admitted else frozenset()
+        return live.induced_connected(members, via=via)
 
     # ------------------------------------------------------------------ reporting
 
@@ -1683,24 +1560,15 @@ class Engine:
     def describe(self) -> dict[str, Any]:
         """Diagnostic summary of the current system state.
 
-        Cheap enough for hot loops in incremental mode: ``edges``,
+        Cheap enough for hot loops: ``edges``,
         ``pending_messages`` and ``potential`` come straight from the
         live counters and the lifecycle tallies are O(1), so no snapshot
         is built.
         """
 
-        if self._graph_mode == "incremental":
-            live = self._ensure_live()
-            edges = live.edge_total
-            pending = live.pending_total
-            phi = live.phi
-        else:
-            snap = self.snapshot()
-            edges = len(snap.edges)
-            pending = sum(len(ch) for ch in self.channels.values())
-            phi = self.potential()
-        # Lifecycle tallies come from the maintained counters in both
-        # graph modes — describe() never scans the population.
+        live = self._ensure_live()
+        # Lifecycle tallies come from the maintained counters —
+        # describe() never scans the population.
         gone = self.gone_count
         asleep = self.asleep_count
         return {
@@ -1712,8 +1580,8 @@ class Engine:
             "reaped": self.reaped_count,
             "gone": gone,
             "asleep": asleep,
-            "edges": edges,
-            "pending_messages": pending,
-            "potential": phi,
+            "edges": live.edge_total,
+            "pending_messages": live.pending_total,
+            "potential": live.phi,
             "stats": self.stats.as_dict(),
         }

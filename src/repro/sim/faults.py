@@ -77,15 +77,12 @@ def _same_component(engine: Engine, a: int, b: int) -> bool:
 
     The full-graph component query (paths through asleep processes
     count — raw connectivity is what leak detection is about, not
-    Lemma 2's relevance-restricted invariant): the live union-find in
-    incremental mode, a snapshot walk in rebuild mode.
+    Lemma 2's relevance-restricted invariant), answered by the live
+    union-find.
     """
     if a == b:
         return True
-    if engine.graph_mode == "incremental":
-        return engine.live_graph.same_component((a, b))
-    snap = engine.snapshot()
-    return snap.is_weakly_connected_within(frozenset((a, b)), snap.pids)
+    return engine.live_graph.same_component((a, b))
 
 
 def scatter_garbage_messages(

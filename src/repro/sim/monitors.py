@@ -57,8 +57,7 @@ class ConnectivityMonitor:
     per-component check is exact.)
 
     The check goes through :meth:`Engine.members_weakly_connected`, which
-    in incremental graph mode answers from the live union-find instead of
-    rebuilding a snapshot — per-step checking (``check_every=1``) costs
+    answers from the live union-find instead of rebuilding a snapshot — per-step checking (``check_every=1``) costs
     O(Δ) amortized rather than O(V+E).
     """
 

@@ -225,9 +225,9 @@ class RefDeltaLog:
     the same (dst, belief) leaves no entry at all, so unchanged-ref
     actions drain in O(1) instead of paying an O(refs) fingerprint diff.
 
-    ``enabled`` is flipped off by the engine when no consumer exists
-    (rebuild graph mode, fingerprint ref mode) so mutations cost one
-    extra branch and nothing accumulates.
+    ``enabled`` is flipped off by the engine for processes that do not
+    declare ``ref_tracking`` (the engine diffs their fingerprints
+    instead) so mutations cost one extra branch and nothing accumulates.
     """
 
     __slots__ = ("enabled", "pending")

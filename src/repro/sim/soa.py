@@ -615,7 +615,6 @@ class EngineCore:
         "gone",
         "last_progress",
         "last_phi_seen",
-        "track_phi",
         "last_acted",
         "driver",
         "cached_driver",
@@ -820,7 +819,6 @@ class EngineCore:
         self.gone = engine.gone_count
         self.last_progress = engine._last_progress_step  # noqa: SLF001
         self.last_phi_seen = engine._last_phi_seen  # noqa: SLF001
-        self.track_phi = engine.graph_mode == "incremental"
         #: action cursor: the step index at which each slot last executed
         #: an action (timeout or delivery) — new SoA-only observability.
         self.last_acted = [-1] * n
@@ -1680,14 +1678,13 @@ class EngineCore:
     def _after_step(self) -> None:
         self.steps += 1
         self.stat_steps += 1
-        if self.track_phi:
-            phi = self.phi
-            last = self.last_phi_seen
-            if last is None or phi > last:
-                self.last_phi_seen = phi
-            elif phi < last:
-                self.last_phi_seen = phi
-                self.last_progress = self.steps
+        phi = self.phi
+        last = self.last_phi_seen
+        if last is None or phi > last:
+            self.last_phi_seen = phi
+        elif phi < last:
+            self.last_phi_seen = phi
+            self.last_progress = self.steps
 
     # ------------------------------------------------------------------ driving (soa)
 
@@ -1737,7 +1734,6 @@ class EngineCore:
         dbase = drv._dbase
         smask = drv._smask
         nbits = drv._nbits
-        track_phi = self.track_phi
         # the event handlers' containers, hoisted out of the loop.
         ch = self.ch
         state_ = self.state_
@@ -1837,13 +1833,12 @@ class EngineCore:
                             stamps[idx] = value
                 # inline _after_step()
                 steps += 1
-                if track_phi:
-                    phi = self.phi
-                    if last_phi is None or phi > last_phi:
-                        last_phi = phi
-                    elif phi < last_phi:
-                        last_phi = phi
-                        lprog = steps
+                phi = self.phi
+                if last_phi is None or phi > last_phi:
+                    last_phi = phi
+                elif phi < last_phi:
+                    last_phi = phi
+                    lprog = steps
                 executed += 1
         finally:
             self.steps = steps
@@ -2047,18 +2042,17 @@ class EngineCore:
             mismatches.append(
                 f"dead_pins: running={self.dead_pins} recount={want_pins}"
             )
-        if engine.graph_mode == "incremental":
-            live = engine.live_graph
-            if self.phi != live.phi:
-                mismatches.append(f"phi: core={self.phi} obj={live.phi}")
-            if self.edge_total != live.edge_total:
-                mismatches.append(
-                    f"edges: core={self.edge_total} obj={live.edge_total}"
-                )
-            if self.pending != live.pending_total:
-                mismatches.append(
-                    f"pending: core={self.pending} obj={live.pending_total}"
-                )
+        live = engine.live_graph
+        if self.phi != live.phi:
+            mismatches.append(f"phi: core={self.phi} obj={live.phi}")
+        if self.edge_total != live.edge_total:
+            mismatches.append(
+                f"edges: core={self.edge_total} obj={live.edge_total}"
+            )
+        if self.pending != live.pending_total:
+            mismatches.append(
+                f"pending: core={self.pending} obj={live.pending_total}"
+            )
         if mismatches:
             raise StateViolation(
                 "struct-of-arrays core state diverged from the object model: "

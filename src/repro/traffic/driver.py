@@ -28,8 +28,7 @@ member of an initial component to leaving; processes admitted mid-run
 are always free to leave.
 
 Requests are observation-only reads of the live graph (never engine
-mutations), so traffic requires ``graph_mode="incremental"`` and leaves
-schedule replay untouched. The driver writes its own boundary-level
+mutations), so traffic leaves schedule replay untouched. The driver writes its own boundary-level
 JSONL trace — hooking a per-step tracer would disqualify the run from
 the struct-of-arrays fast path.
 """
@@ -106,10 +105,6 @@ class TrafficDriver:
         joiner: Joiner | None = None,
         trace_path: str | None = None,
     ) -> None:
-        if engine.graph_mode != "incremental":
-            raise ConfigurationError(
-                "traffic needs the live graph; use graph_mode='incremental'"
-            )
         if chunk < 1:
             raise ConfigurationError("chunk must be >= 1")
         self.engine = engine

@@ -8,22 +8,12 @@ its own differential property suite in
 
 from collections import Counter
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.graphs import LiveGraph
 from repro.graphs.livegraph import explicit_fingerprint
 from repro.graphs.snapshot import EdgeKind
 from repro.sim.messages import RefInfo
 from repro.sim.states import Mode, PState
 from tests.conftest import deliver, drive_timeout, make_fdp_engine
-
-
-@pytest.fixture(autouse=True)
-def _force_incremental(monkeypatch):
-    """These tests exercise the live graph; pin the mode even when the
-    suite runs under ``REPRO_GRAPH_MODE=rebuild``."""
-    monkeypatch.setenv("REPRO_GRAPH_MODE", "incremental")
 
 
 def edge_multiset(snap) -> Counter:
@@ -54,12 +44,6 @@ class TestBuild:
         )
         eng.attach()
         assert_live_matches_rebuild(eng)
-
-    def test_live_graph_unavailable_in_rebuild_mode(self):
-        eng = make_fdp_engine({0: {}})
-        eng._graph_mode = "rebuild"
-        with pytest.raises(ConfigurationError):
-            eng.live_graph
 
 
 class TestChannelDeltas:

@@ -13,9 +13,6 @@ a from-scratch :meth:`Engine.rebuild_snapshot`:
   members;
 * the SINGLE verdict (via ``partner_pids``) for every pid;
 * hibernation/relevance, node metadata and the ``describe()`` counters.
-
-Plus the escape hatch: ``REPRO_GRAPH_MODE=rebuild`` must reproduce the
-legacy behavior bit-for-bit.
 """
 
 from collections import Counter
@@ -34,14 +31,6 @@ from repro.core.scenarios import (
 from repro.graphs import generators as gen
 from repro.sim.faults import scatter_garbage_messages
 from repro.sim.states import PState
-
-
-@pytest.fixture(autouse=True)
-def _force_incremental(monkeypatch):
-    """The differential compares the live graph against rebuilds; pin
-    incremental mode even when the suite runs under
-    ``REPRO_GRAPH_MODE=rebuild`` (the escape-hatch test overrides it)."""
-    monkeypatch.setenv("REPRO_GRAPH_MODE", "incremental")
 
 
 def edge_multiset(snap) -> Counter:
@@ -196,51 +185,6 @@ def test_fault_injected_live_equals_rebuild(seed, steps):
         assert_equivalent(engine)
 
 
-def test_convergence_end_state_matches(tmp_path):
-    """Run one scenario to FDP legitimacy in both modes: identical
-    trajectories, identical final observables (E-series results are
-    semantically unchanged by the observation path)."""
-    from repro.core.potential import fdp_legitimate
-
-    n = 12
-    edges = gen.random_connected(n, 6, seed=3)
-    leaving = choose_leaving(n, edges, fraction=0.3, seed=3)
-    results = {}
-    for mode in ("incremental", "rebuild"):
-        engine = build_fdp_engine(
-            n, edges, leaving, seed=3, corruption=HEAVY_CORRUPTION, graph_mode=mode
-        )
-        converged = engine.run(50_000, until=fdp_legitimate, check_every=8)
-        results[mode] = (
-            converged,
-            engine.step_count,
-            engine.potential(),
-            engine.states(),
-            edge_multiset(engine.snapshot()),
-        )
-    assert results["incremental"] == results["rebuild"]
-
-
-def test_env_escape_hatch(monkeypatch):
-    monkeypatch.setenv("REPRO_GRAPH_MODE", "rebuild")
-    engine = build_fdp_engine(4, [(0, 1), (1, 2), (2, 3)], {3}, seed=0)
-    assert engine.graph_mode == "rebuild"
-    engine.attach()
-    # rebuild mode never instantiates a live graph
-    assert engine._live is None
-    for _ in range(30):
-        if engine.step() is None:
-            break
-    assert engine._live is None
-
-
-def test_bad_graph_mode_rejected():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        build_fdp_engine(3, [(0, 1), (1, 2)], {2}, graph_mode="bogus")
-
-
 # ---------------------------------------------------------------------------
 # dirty-ref tracking ≡ fingerprint diffing
 #
@@ -304,16 +248,16 @@ def test_fsp_ref_log_equals_fingerprint_diff(monkeypatch, seed, steps):
 
 
 def test_ref_mode_trajectories_identical(monkeypatch):
-    """tracked / fingerprint / verify are observation choices, not
-    semantics: one scenario run to legitimacy in all three modes yields
-    identical trajectories and final observables."""
+    """tracked / verify are observation choices, not semantics: one
+    scenario run to legitimacy in both modes yields identical
+    trajectories and final observables."""
     from repro.core.potential import fdp_legitimate
 
     n = 12
     edges = gen.random_connected(n, 6, seed=5)
     leaving = choose_leaving(n, edges, fraction=0.3, seed=5)
     results = {}
-    for mode in ("tracked", "fingerprint", "verify"):
+    for mode in ("tracked", "verify"):
         monkeypatch.setenv("REPRO_REF_MODE", mode)
         engine = build_fdp_engine(
             n, edges, leaving, seed=5, corruption=HEAVY_CORRUPTION
@@ -327,26 +271,18 @@ def test_ref_mode_trajectories_identical(monkeypatch):
             engine.states(),
             edge_multiset(engine.snapshot()),
         )
-    assert results["tracked"] == results["fingerprint"]
     assert results["tracked"] == results["verify"]
 
 
-def test_fingerprint_mode_disarms_logs(monkeypatch):
-    """The fingerprint escape hatch must not pay the logging cost: every
-    process's ref log stays disabled after attach."""
-    monkeypatch.setenv("REPRO_REF_MODE", "fingerprint")
-    engine = build_fdp_engine(4, [(0, 1), (1, 2), (2, 3)], {3}, seed=0)
-    engine.attach()
-    assert all(not p._ref_log.enabled for p in engine.processes.values())
-    for _ in range(30):
-        if engine.step() is None:
-            break
-    assert_equivalent(engine)
-
-
 def test_bad_ref_mode_rejected(monkeypatch):
+    """Only tracked|verify exist; the retired fingerprint mode is
+    rejected like any unknown value."""
     from repro.errors import ConfigurationError
+    from repro.sim.engine import Engine
 
-    monkeypatch.setenv("REPRO_REF_MODE", "bogus")
-    with pytest.raises(ConfigurationError):
-        build_fdp_engine(3, [(0, 1), (1, 2)], {2})
+    for mode in ("bogus", "fingerprint"):
+        with pytest.raises(ConfigurationError):
+            Engine([], ref_mode=mode)
+        monkeypatch.setenv("REPRO_REF_MODE", mode)
+        with pytest.raises(ConfigurationError):
+            build_fdp_engine(3, [(0, 1), (1, 2)], {2})

@@ -55,31 +55,6 @@ def test_partner_pids_matches_snapshot_definition(seed, steps, fsp):
     _assert_equivalent(engine)
 
 
-@given(seed=st.integers(0, 400), steps=st.integers(0, 80))
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_limited_scan_agrees_on_the_single_predicate(seed, steps):
-    """The early-exit scan must answer 'at most one partner?' exactly as
-    the full scan does (the partial set may differ, the verdict may not)."""
-    n = 9
-    edges = gen.random_connected(n, 4, seed=seed)
-    leaving = choose_leaving(n, edges, fraction=0.4, seed=seed)
-    engine = build_fdp_engine(
-        n, edges, leaving, seed=seed, corruption=HEAVY_CORRUPTION
-    )
-    engine.attach()
-    for _ in range(steps):
-        if engine.step() is None:
-            break
-    for pid in range(n):
-        full = len(engine.partner_pids(pid)) <= 1
-        limited = len(engine.partner_pids(pid, limit=1)) <= 1
-        assert full == limited, pid
-
-
 def test_fast_path_with_gone_partner():
     engine = build_fdp_engine(4, gen.clique(4), leaving={1}, seed=0)
     from repro.core.potential import fdp_legitimate

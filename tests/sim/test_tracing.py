@@ -165,8 +165,7 @@ class TestProbesMatchRebuildSnapshot:
     live O(1) counters; their values must equal what a from-scratch
     rebuild of the state computes."""
 
-    @pytest.mark.parametrize("graph_mode", ["incremental", "rebuild"])
-    def test_differential(self, graph_mode):
+    def test_differential(self):
         n = 12
         edges = gen.random_connected(n, 5, seed=3)
         leaving = choose_leaving(n, edges, fraction=0.4, seed=3)
@@ -176,7 +175,6 @@ class TestProbesMatchRebuildSnapshot:
             leaving,
             seed=7,
             corruption=HEAVY_CORRUPTION,
-            graph_mode=graph_mode,
         )
         rec = SeriesRecorder(every=7)
         engine.monitors.append(rec)
@@ -194,5 +192,5 @@ class TestProbesMatchRebuildSnapshot:
                 "messages_posted": float(engine.stats.messages_posted),
             }
             for name, want in expect.items():
-                assert STANDARD_PROBES[name](engine) == want, (name, graph_mode)
+                assert STANDARD_PROBES[name](engine) == want, name
         assert engine.gone_count > 0  # the scenario exercised lifecycle

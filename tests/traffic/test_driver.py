@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.core.scenarios import build_fdp_engine, build_fsp_engine
-from repro.errors import ConfigurationError
 from repro.sim.states import PState
 from repro.traffic import ArrivalConfig, RequestConfig, TrafficDriver
 
@@ -86,13 +83,6 @@ class TestOpenSystemSafety:
         # FSP leaves hibernate rather than exit: nothing ever bounces
         assert engine.stats.bounced == 0
         assert engine.stats.dropped_gone == 0
-
-    def test_requires_incremental_graph(self):
-        engine = build_fdp_engine(
-            8, line(8), leaving=[3], seed=1, graph_mode="rebuild"
-        )
-        with pytest.raises(ConfigurationError):
-            TrafficDriver(engine)
 
 
 class TestCounterRecountParity:
