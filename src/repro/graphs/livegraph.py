@@ -19,7 +19,7 @@ The delta vocabulary (the only ways the process graph can change):
   action (only the acting process may mutate its own local memory); the
   engine drains them here at O(writes) cost.
 * ``apply_explicit_diff(pid, before)`` — fingerprint fallback for
-  untracked processes (and the ``REPRO_REF_MODE`` differential oracle):
+  untracked processes (and the ``engine_mode="verify"`` ref-log check):
   the engine diffs the acting process's ``stored_refs()`` around the
   action, yielding the same deltas at O(refs) cost.
 * ``on_state(pid, state)`` — lifecycle transitions. ``exit`` purges the

@@ -1,422 +1,21 @@
-"""Abstract-interpretation machinery shared by the flow-sensitive rules.
+"""Path-sensitive reference provenance for the REF0xx rules.
 
-Three building blocks, each deliberately small:
-
-* :func:`fold` — constant folding over an environment of dotted-chain
-  constants (``{"self.is_fsp": False, "_GONE": 2}``). This is what lets
-  the effect extractor specialize a kernel the way CPython specializes
-  it at runtime: ``if self.is_fsp:`` becomes a taken-or-dead branch, and
-  ``return _ASLEEP if self.is_fsp else _GONE`` folds to a single
-  lifecycle code per protocol.
-* :class:`StmtWalker` — a statement-list walker with constant-branch
-  pruning and termination tracking. Unknown branches are walked with
-  *copies* of the environment (a may-analysis: facts established inside
-  one branch never leak past the join), known branches are pruned, and
-  a ``return``/``raise`` on a pruned-taken path kills the statements
-  after it. Subclasses hook expressions, bindings and deletions.
-* :class:`RefFlow` — the path-sensitive provenance lattice for the
-  REF0xx rules. A received reference starts RECEIVED; aliases join its
-  group (``v = info.ref``); flowing into a call argument, a store, a
-  ``return`` or a ``del`` consumes it; a path may end sanctioned (the
-  exit is lexically under a branch that *observed* the reference, i.e.
-  a deliberate discard) or leaking (the reference falls out of scope
-  unconsumed on that path).
-
-Bit-level helpers (:func:`low_bits`, :func:`shifted_operand`) decode
-inlined packed-record posts: in ``(mode << _BEL_SHIFT) | ((u + 1) <<
-_SUBJ_SHIFT) | ...`` every term shifted past bit 7 vanishes from the
-label byte, so the label of a hand-inlined bulk post is provable even
-though no ``_send`` call appears.
+:class:`RefFlow` tracks one received reference through a handler body.
+A received reference starts RECEIVED; aliases join its group
+(``v = info.ref``); flowing into a call argument, a store, a ``return``
+or a ``del`` consumes it; a path may end sanctioned (the exit is
+lexically under a branch that *observed* the reference, i.e. a
+deliberate discard) or leaking (the reference falls out of scope
+unconsumed on that path).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any
 
 from repro.lint.model import attr_chain
 
-__all__ = [
-    "fold",
-    "low_bits",
-    "shifted_operand",
-    "module_constants",
-    "StmtWalker",
-    "RefFlow",
-    "PathEnd",
-]
-
-#: sentinel distinguishing "folds to None" from "does not fold".
-_UNKNOWN = object()
-
-
-def _fold(expr: ast.expr, env: dict[str, Any]) -> Any:
-    if isinstance(expr, ast.Constant):
-        return expr.value
-    chain = attr_chain(expr)
-    if chain is not None:
-        if chain in env:
-            return env[chain]
-        return _UNKNOWN
-    if isinstance(expr, ast.UnaryOp):
-        val = _fold(expr.operand, env)
-        if val is _UNKNOWN:
-            return _UNKNOWN
-        if isinstance(expr.op, ast.Not):
-            return not val
-        if isinstance(expr.op, ast.USub) and isinstance(val, (int, float)):
-            return -val
-        return _UNKNOWN
-    if isinstance(expr, ast.BoolOp):
-        # Partial evaluation: one definitely-false conjunct kills an
-        # ``and`` even when its siblings are unknown (and dually for
-        # ``or``) — exactly the short-circuit the kernels rely on in
-        # ``if fsp and v != u:``.
-        is_and = isinstance(expr.op, ast.And)
-        unknown = False
-        last = _UNKNOWN
-        for operand in expr.values:
-            val = _fold(operand, env)
-            if val is _UNKNOWN:
-                unknown = True
-                continue
-            if is_and and not val:
-                return val
-            if not is_and and val:
-                return val
-            last = val
-        return _UNKNOWN if unknown else last
-    if isinstance(expr, ast.Compare) and len(expr.ops) == 1:
-        left = _fold(expr.left, env)
-        right = _fold(expr.comparators[0], env)
-        if left is _UNKNOWN or right is _UNKNOWN:
-            return _UNKNOWN
-        op = expr.ops[0]
-        try:
-            if isinstance(op, ast.Eq):
-                return left == right
-            if isinstance(op, ast.NotEq):
-                return left != right
-            if isinstance(op, ast.Is):
-                return left is right
-            if isinstance(op, ast.IsNot):
-                return left is not right
-            if isinstance(op, ast.Lt):
-                return left < right
-            if isinstance(op, ast.LtE):
-                return left <= right
-            if isinstance(op, ast.Gt):
-                return left > right
-            if isinstance(op, ast.GtE):
-                return left >= right
-        except TypeError:
-            return _UNKNOWN
-        return _UNKNOWN
-    if isinstance(expr, ast.IfExp):
-        test = _fold(expr.test, env)
-        if test is _UNKNOWN:
-            return _UNKNOWN
-        return _fold(expr.body if test else expr.orelse, env)
-    if isinstance(expr, ast.BinOp):
-        left = _fold(expr.left, env)
-        right = _fold(expr.right, env)
-        if left is _UNKNOWN or right is _UNKNOWN:
-            return _UNKNOWN
-        if not isinstance(left, int) or not isinstance(right, int):
-            return _UNKNOWN
-        op = expr.op
-        try:
-            if isinstance(op, ast.BitOr):
-                return left | right
-            if isinstance(op, ast.BitAnd):
-                return left & right
-            if isinstance(op, ast.BitXor):
-                return left ^ right
-            if isinstance(op, ast.LShift):
-                return left << right
-            if isinstance(op, ast.RShift):
-                return left >> right
-            if isinstance(op, ast.Add):
-                return left + right
-            if isinstance(op, ast.Sub):
-                return left - right
-            if isinstance(op, ast.Mult):
-                return left * right
-            if isinstance(op, ast.FloorDiv) and right != 0:
-                return left // right
-            if isinstance(op, ast.Mod) and right != 0:
-                return left % right
-        except (ValueError, OverflowError):
-            return _UNKNOWN
-        return _UNKNOWN
-    return _UNKNOWN
-
-
-def fold(expr: ast.expr, env: dict[str, Any]) -> tuple[bool, Any]:
-    """Fold *expr* against *env*; returns ``(known, value)``."""
-    val = _fold(expr, env)
-    if val is _UNKNOWN:
-        return False, None
-    return True, val
-
-
-def pruned_ifexp(expr: ast.expr, env: dict[str, Any]) -> ast.expr:
-    """Resolve conditional expressions whose test folds to a constant.
-
-    ``_ASLEEP if self.is_fsp else _GONE`` under ``is_fsp=False`` prunes
-    to the ``_GONE`` *node* — callers that classify by constant name
-    (lifecycle codes) get the surviving branch, not a folded value.
-    """
-    while isinstance(expr, ast.IfExp):
-        known, val = fold(expr.test, env)
-        if not known:
-            break
-        expr = expr.body if val else expr.orelse
-    return expr
-
-
-def low_bits(expr: ast.expr, env: dict[str, Any], bits: int = 8) -> int | None:
-    """Value of *expr* restricted to its low *bits*, or None.
-
-    Unlike :func:`fold` this succeeds on partially-unknown packed-record
-    expressions: an or-term left-shifted past the window contributes 0
-    no matter what its operand is, which is how the label byte of an
-    inlined ``ch[v][seq] = rec`` post stays provable.
-    """
-    mask = (1 << bits) - 1
-    known, val = fold(expr, env)
-    if known and isinstance(val, int):
-        return val & mask
-    if isinstance(expr, ast.BinOp):
-        if isinstance(expr.op, ast.BitOr):
-            left = low_bits(expr.left, env, bits)
-            right = low_bits(expr.right, env, bits)
-            if left is None or right is None:
-                return None
-            return left | right
-        if isinstance(expr.op, ast.LShift):
-            kshift, shift = fold(expr.right, env)
-            if kshift and isinstance(shift, int) and shift >= bits:
-                return 0
-            return None
-        if isinstance(expr.op, ast.BitAnd):
-            for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
-                kside, vside = fold(side, env)
-                if kside and isinstance(vside, int):
-                    low = low_bits(other, env, bits)
-                    if low is None:
-                        return None
-                    return low & vside & mask
-            return None
-    return None
-
-
-def shifted_operand(
-    expr: ast.expr, env: dict[str, Any], shift: int
-) -> ast.expr | None:
-    """Find the or-term of a packed-record expression shifted left by
-    exactly *shift* bits and return its operand (unwrapping ``X + 1``).
-
-    This recovers the *subject* field of an inlined post: for
-    ``... | ((u + 1) << _SUBJ_SHIFT) | ...`` with ``shift=_SUBJ_SHIFT``
-    the result is the ``u`` node.
-    """
-    if isinstance(expr, ast.BinOp):
-        if isinstance(expr.op, ast.BitOr):
-            left = shifted_operand(expr.left, env, shift)
-            if left is not None:
-                return left
-            return shifted_operand(expr.right, env, shift)
-        if isinstance(expr.op, ast.LShift):
-            known, val = fold(expr.right, env)
-            if known and val == shift:
-                operand = expr.left
-                if (
-                    isinstance(operand, ast.BinOp)
-                    and isinstance(operand.op, ast.Add)
-                    and isinstance(operand.right, ast.Constant)
-                    and operand.right.value == 1
-                ):
-                    return operand.left
-                return operand
-    return None
-
-
-def module_constants(tree: ast.Module) -> dict[str, Any]:
-    """Top-level ``NAME = <constant>`` bindings, including tuple unpacks
-    (``_STAYING, _LEAVING, _NONE = 0, 1, 2``) and expressions that fold
-    against earlier bindings (``_SUBJ_MASK = (1 << 22) - 1``)."""
-    env: dict[str, Any] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                known, val = fold(stmt.value, env)
-                if known:
-                    env[target.id] = val
-            elif isinstance(target, ast.Tuple) and isinstance(stmt.value, ast.Tuple):
-                if len(target.elts) == len(stmt.value.elts) and all(
-                    isinstance(t, ast.Name) for t in target.elts
-                ):
-                    for t, v in zip(target.elts, stmt.value.elts):
-                        known, val = fold(v, env)
-                        if known:
-                            env[t.id] = val  # type: ignore[attr-defined]
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            if isinstance(stmt.target, ast.Name):
-                known, val = fold(stmt.value, env)
-                if known:
-                    env[stmt.target.id] = val
-    return env
-
-
-class StmtWalker:
-    """Statement walker with constant-branch pruning.
-
-    ``walk`` returns True when every path through the statement list
-    terminates (return/raise/break/continue), which is what makes dead
-    code after a pruned-taken early return actually dead. Unknown
-    branches are explored with environment *copies* so facts cannot leak
-    past the join — the walker computes may-information.
-
-    Subclass hooks:
-
-    * :meth:`visit_expr` — every evaluated expression that is reached:
-      statement expressions, assignment values, unknown branch tests,
-      loop iterables. Effect extraction lives here.
-    * :meth:`bind` — Assign/AnnAssign/AugAssign, after the value visit;
-      the default propagates chain constants (``fsp = self.is_fsp``)
-      and kills rebound names.
-    * :meth:`bind_loop` — loop-target setup before the body walk.
-    * :meth:`on_delete`, :meth:`on_return` — explicit release points.
-    """
-
-    def visit_expr(self, expr: ast.expr, env: dict[str, Any]) -> None:  # noqa: B027
-        pass
-
-    def on_delete(self, stmt: ast.Delete, env: dict[str, Any]) -> None:  # noqa: B027
-        pass
-
-    def on_return(self, stmt: ast.Return, env: dict[str, Any]) -> None:  # noqa: B027
-        pass
-
-    def bind(
-        self,
-        stmt: ast.Assign | ast.AnnAssign | ast.AugAssign,
-        env: dict[str, Any],
-    ) -> None:
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        else:
-            targets = [stmt.target]
-        value = stmt.value
-        for target in targets:
-            if isinstance(target, ast.Name):
-                if isinstance(stmt, ast.AugAssign) or value is None:
-                    env.pop(target.id, None)
-                    continue
-                known, val = fold(value, env)
-                if known:
-                    env[target.id] = val
-                else:
-                    env.pop(target.id, None)
-            elif isinstance(target, ast.Tuple):
-                for elt in target.elts:
-                    if isinstance(elt, ast.Name):
-                        env.pop(elt.id, None)
-
-    def bind_loop(self, stmt: ast.For | ast.AsyncFor, env: dict[str, Any]) -> None:
-        for node in ast.walk(stmt.target):
-            if isinstance(node, ast.Name):
-                env.pop(node.id, None)
-
-    def walk(self, stmts: list[ast.stmt], env: dict[str, Any]) -> bool:
-        for stmt in stmts:
-            if isinstance(stmt, ast.Return):
-                if stmt.value is not None:
-                    self.visit_expr(stmt.value, env)
-                self.on_return(stmt, env)
-                return True
-            if isinstance(stmt, ast.Raise):
-                if stmt.exc is not None:
-                    self.visit_expr(stmt.exc, env)
-                return True
-            if isinstance(stmt, (ast.Break, ast.Continue)):
-                return True
-            if isinstance(stmt, ast.If):
-                known, val = fold(stmt.test, env)
-                if known:
-                    if self.walk(stmt.body if val else stmt.orelse, env):
-                        return True
-                else:
-                    self.visit_expr(stmt.test, env)
-                    ended_body = self.walk(stmt.body, dict(env))
-                    ended_else = self.walk(stmt.orelse, dict(env))
-                    if ended_body and ended_else:
-                        return True
-                continue
-            if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self.visit_expr(stmt.iter, env)
-                body_env = dict(env)
-                self.bind_loop(stmt, body_env)
-                self.walk(stmt.body, body_env)
-                self.walk(stmt.orelse, dict(env))
-                continue
-            if isinstance(stmt, ast.While):
-                known, val = fold(stmt.test, env)
-                if known and not val:
-                    self.walk(stmt.orelse, env)
-                    continue
-                if not known:
-                    self.visit_expr(stmt.test, env)
-                self.walk(stmt.body, dict(env))
-                self.walk(stmt.orelse, dict(env))
-                continue
-            if isinstance(stmt, ast.Try):
-                self.walk(stmt.body, env)
-                for handler in stmt.handlers:
-                    self.walk(handler.body, dict(env))
-                self.walk(stmt.orelse, dict(env))
-                if self.walk(stmt.finalbody, env):
-                    return True
-                continue
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    self.visit_expr(item.context_expr, env)
-                if self.walk(stmt.body, env):
-                    return True
-                continue
-            if isinstance(stmt, ast.Match):
-                self.visit_expr(stmt.subject, env)
-                for case in stmt.cases:
-                    self.walk(case.body, dict(env))
-                continue
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                if stmt.value is not None:
-                    self.visit_expr(stmt.value, env)
-                for node in ast.walk(
-                    stmt.targets[0] if isinstance(stmt, ast.Assign) else stmt.target
-                ):
-                    if isinstance(node, ast.Subscript):
-                        self.visit_expr(node.slice, env)
-                self.bind(stmt, env)
-                continue
-            if isinstance(stmt, ast.Expr):
-                self.visit_expr(stmt.value, env)
-                continue
-            if isinstance(stmt, ast.Delete):
-                self.on_delete(stmt, env)
-                continue
-            if isinstance(stmt, ast.Assert):
-                self.visit_expr(stmt.test, env)
-                continue
-            # Pass / Global / Nonlocal / Import / nested defs: no effects
-            # the analyses model.
-        return False
-
-
-# --------------------------------------------------------------------------
-# reference provenance (REF0xx)
+__all__ = ["RefFlow", "PathEnd"]
 
 
 class PathEnd:

@@ -16,13 +16,6 @@ from repro.lint.rules.determinism import (
     UnsortedRefSetIteration,
     WallClock,
 )
-from repro.lint.rules.encodability import (
-    BeliefRange,
-    NonConstantLabel,
-    PackedLayout,
-    PayloadShape,
-    UnregisteredLabel,
-)
 from repro.lint.rules.grammar import (
     ForeignStateMutation,
     LifecycleOwnership,
@@ -38,12 +31,6 @@ from repro.lint.rules.ref_safety import (
     RefConsumption,
     RefIdentityComparison,
     ReversalEviction,
-)
-from repro.lint.rules.soa_mirror import (
-    CounterFlush,
-    GenerationBump,
-    MirrorCoverage,
-    MirrorDrift,
 )
 
 __all__ = ["ALL_RULES"]
@@ -64,13 +51,4 @@ ALL_RULES: tuple[type[Rule], ...] = (
     LogicSurface,
     ForeignStateMutation,
     LifecycleOwnership,
-    MirrorCoverage,
-    MirrorDrift,
-    CounterFlush,
-    GenerationBump,
-    NonConstantLabel,
-    UnregisteredLabel,
-    PayloadShape,
-    BeliefRange,
-    PackedLayout,
 )

@@ -47,7 +47,8 @@ path.
 refs) and exports the final state back into the object model;
 ``"verify"`` runs both in lockstep and raises
 :class:`~repro.errors.StateViolation` on any divergence — the
-differential oracle mirroring the ``ref_mode="verify"`` pattern.
+differential oracle. Verify mode also cross-checks each action's
+write-through ref log against a before/after fingerprint diff.
 """
 
 from __future__ import annotations
@@ -218,18 +219,11 @@ class Engine:
         scheduler, no monitors/tracer) on the struct-of-arrays
         :class:`~repro.sim.soa.EngineCore` and falls back to the object
         loop otherwise. ``"verify"`` executes every step on both cores
-        and cross-checks them — the differential oracle. ``None``
-        consults the ``REPRO_ENGINE_MODE`` environment variable.
-    ref_mode:
-        How the live graph learns about per-action ref store/drop deltas.
-        ``"tracked"`` (default) drains the write-through
-        :class:`~repro.sim.refs.RefDeltaLog` of processes that declare
-        ``ref_tracking`` — O(writes) per action; untracked processes fall
-        back to a before/after ``explicit_fingerprint`` diff. ``"verify"``
-        computes both and raises
-        :class:`~repro.errors.StateViolation` on divergence — the
-        differential oracle the property suite runs under. ``None``
-        consults the ``REPRO_REF_MODE`` environment variable.
+        and cross-checks them — the differential oracle. It also diffs
+        each action's ``explicit_fingerprint`` against the write-through
+        :class:`~repro.sim.refs.RefDeltaLog` the live graph drains
+        otherwise. ``None`` consults the ``REPRO_ENGINE_MODE``
+        environment variable.
     """
 
     def __init__(
@@ -246,7 +240,6 @@ class Engine:
         tracer: Any | None = None,
         provenance: Any | None = None,
         require_staying_per_component: bool = True,
-        ref_mode: str | None = None,
         engine_mode: str | None = None,
     ) -> None:
         self.processes: dict[int, Process] = {}
@@ -289,13 +282,6 @@ class Engine:
         self._snapshot_cache: ProcessGraph | None = None
         self._initial_components: tuple[frozenset[int], ...] | None = None
         self._initial_pid_union: frozenset[int] | None = None
-        if ref_mode is None:
-            ref_mode = os.environ.get("REPRO_REF_MODE", "tracked")
-        if ref_mode not in ("tracked", "verify"):
-            raise ConfigurationError(
-                f"unknown ref_mode {ref_mode!r} (tracked|verify)"
-            )
-        self._ref_mode = ref_mode
         if engine_mode is None:
             engine_mode = os.environ.get("REPRO_ENGINE_MODE", "objects")
         if engine_mode not in ("objects", "soa", "verify"):
@@ -316,9 +302,9 @@ class Engine:
         #: out-of-band ones (fault injection, tests poking state), which
         #: mark the core stale for a rebuild.
         self._stepping = False
-        #: True → drain write-through logs; False (``ref_mode="verify"``)
-        #: → additionally cross-check them against fingerprint diffs.
-        self._track = ref_mode == "tracked"
+        #: True → drain write-through logs; False (verify mode) →
+        #: additionally cross-check them against fingerprint diffs.
+        self._track = engine_mode != "verify"
         #: pooled action context, reset per action instead of allocated.
         self._ctx = ActionContext(self, None)  # type: ignore[arg-type]
         self._live: LiveGraph | None = None
@@ -386,11 +372,6 @@ class Engine:
                 self._live_stale = True
             if self._core is not None:
                 self._core_stale = True
-
-    @property
-    def ref_mode(self) -> str:
-        """Active ref-delta path: ``"tracked"`` or ``"verify"``."""
-        return self._ref_mode
 
     @property
     def engine_mode(self) -> str:
@@ -1144,7 +1125,7 @@ class Engine:
 
     def _verify_ref_log(self, pid: int, proc: Process, before) -> None:
         """Differential oracle: the write-through log must equal the
-        before/after fingerprint diff, key for key (``ref_mode="verify"``)."""
+        before/after fingerprint diff, key for key (verify mode)."""
         after = explicit_fingerprint(proc)
         net: dict = {}
         for key, count in after.items():
@@ -1312,7 +1293,8 @@ class Engine:
         """Scheduler driver for a batched soa run, or ``None`` to fall back.
 
         Observers (monitors, tracer, provenance, exit auditors) need the
-        object model per step, so their presence forces the object loop.
+        object model per step, so their presence forces the object loop;
+        ``core_status["reason"]`` then names them.
         """
         if (
             self.monitors
@@ -1320,12 +1302,23 @@ class Engine:
             or self.provenance is not None
             or self.exit_auditors
         ):
+            if self._core is not None:
+                attached = (
+                    ("monitors", self.monitors),
+                    ("tracer", self.tracer is not None),
+                    ("provenance", self.provenance is not None),
+                    ("exit auditors", self.exit_auditors),
+                )
+                self._core_reason = "observers attached: " + ", ".join(
+                    kind for kind, present in attached if present
+                )
             return None
         if self._core_stale:
             self._rebuild_core()
         core = self._core
         if core is None:
             return None
+        self._core_reason = None
         driver = core.cached_driver
         if driver is None or core.cached_driver_for is not self.scheduler:
             # One driver per core lifetime: after a run, splice() leaves

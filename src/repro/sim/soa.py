@@ -25,8 +25,9 @@ The core runs in two roles selected by ``Engine(engine_mode=...)``:
   *mirrors* it (:meth:`mirror_step`), replaying the event through the
   int kernels and cross-checking counters after every step plus a deep
   structural comparison (:meth:`verify_full`) at run end. Divergence
-  raises :class:`~repro.errors.StateViolation` — the same differential-
-  oracle pattern as ``ref_mode="verify"``.
+  raises :class:`~repro.errors.StateViolation`. The same mode also
+  cross-checks the engine's write-through ref log against a
+  fingerprint diff after every action.
 * ``soa`` — the core *drives* (:meth:`run_batch`): it selects events
   through a scheduler driver, executes kernels, and the engine exports
   the final state back into the object model
@@ -90,11 +91,14 @@ _STATE_BY_CODE: tuple = (PState.AWAKE, PState.ASLEEP, PState.GONE)
 #              pids are never reused within a run, so a record survives
 #              its sender's slot being reaped and recycled, while a
 #              subject slot is always pinned live by the record itself.
-_LABEL_MASK = 0xFF
+# Each field starts where the previous one ends, so the layout partitions
+# the word by construction, and the subject field is REF_SLOT_BITS + 1 wide
+# so that every slot + 1 fits.
 _BEL_SHIFT = 8
-_SUBJ_SHIFT = 10
-_SUBJ_MASK = (1 << 22) - 1
-_SENDER_SHIFT = 32
+_LABEL_MASK = (1 << _BEL_SHIFT) - 1
+_SUBJ_SHIFT = _BEL_SHIFT + 2
+_SUBJ_MASK = (1 << (REF_SLOT_BITS + 1)) - 1
+_SENDER_SHIFT = _SUBJ_SHIFT + REF_SLOT_BITS + 1
 
 
 def _code(belief: Mode | None) -> int:
@@ -118,38 +122,24 @@ class CoreUnsupported(Exception):
 
 # ---------------------------------------------------------------------------
 # Mirror registry: the declarative correspondence between the object model
-# and the kernels below.
-#
-# Every row is a pure literal so ``repro lint`` can read the registry from
-# the AST without importing the module: the SOA0xx mirror-drift rules diff
-# each ``object_method`` against its ``kernel``, the ENC0xx encodability
-# rules take the protocol scope and label universe from here, and the
-# engine consumes the same rows at runtime for eligibility, the label
-# table and delivery dispatch — one source of truth instead of name
-# matching in three places.
+# and the kernels below. The engine reads these rows at runtime for
+# eligibility, the label table and delivery dispatch — one source of truth
+# instead of name matching in three places.
 
 
 class MirrorAction:
     """One mirrored protocol action (a timeout or a message label)."""
 
-    __slots__ = ("name", "kind", "label_id", "object_method", "kernel")
+    __slots__ = ("name", "kind", "label_id", "kernel")
 
     def __init__(
-        self,
-        *,
-        name: str,
-        kind: str,
-        object_method: str,
-        kernel: str,
-        label_id: int = -1,
+        self, *, name: str, kind: str, kernel: str, label_id: int = -1
     ) -> None:
         self.name = name
         #: "timeout" or "deliver" (a remotely callable action).
         self.kind = kind
         #: packed-record label id for deliver rows (bits 0-7); -1 otherwise.
         self.label_id = label_id
-        #: method name on the object-model process class.
-        self.object_method = object_method
         #: method name of the int kernel on :class:`EngineCore`.
         self.kernel = kernel
 
@@ -165,32 +155,19 @@ class MirrorProtocol:
         self.name = name
         #: exact class name (subclasses are NOT core-eligible).
         self.process_class = process_class
-        #: value the kernels' ``self.is_fsp`` specialization folds to.
+        #: value of the kernels' ``self.is_fsp`` branch flag.
         self.is_fsp = is_fsp
         #: engine capability the population requires ("EXIT"/"SLEEP").
         self.capability = capability
 
 
 MIRROR_ACTIONS: tuple[MirrorAction, ...] = (
+    MirrorAction(name="timeout", kind="timeout", kernel="_timeout_kernel"),
     MirrorAction(
-        name="timeout",
-        kind="timeout",
-        object_method="timeout",
-        kernel="_timeout_kernel",
+        name="present", kind="deliver", label_id=0, kernel="_present_kernel"
     ),
     MirrorAction(
-        name="present",
-        kind="deliver",
-        label_id=0,
-        object_method="on_present",
-        kernel="_present_kernel",
-    ),
-    MirrorAction(
-        name="forward",
-        kind="deliver",
-        label_id=1,
-        object_method="on_forward",
-        kernel="_forward_kernel",
+        name="forward", kind="deliver", label_id=1, kernel="_forward_kernel"
     ),
 )
 
@@ -202,42 +179,6 @@ MIRROR_PROTOCOLS: tuple[MirrorProtocol, ...] = (
         name="FSP", process_class="FSPProcess", is_fsp=True, capability="SLEEP"
     ),
 )
-
-#: Statistics counters each event runner must bump (SOA003 checks these;
-#: ``_run_batch_random`` batches the scalar ones into locals instead, see
-#: BATCH_FLUSH_COUNTERS).
-MIRROR_EVENT_COUNTERS: dict[str, tuple[str, ...]] = {
-    "_run_timeout": ("timeouts", "timeouts_by"),
-    "_run_delivery": ("deliveries", "deliveries_by"),
-}
-
-#: Scalar counters ``_run_batch_*`` hoists into locals; every one of them
-#: must be written back to ``self`` before the batch returns (the
-#: ``finally`` flush). SOA003 checks the write-back exists.
-BATCH_FLUSH_COUNTERS: tuple[str, ...] = (
-    "steps",
-    "stat_steps",
-    "deliveries",
-    "timeouts",
-    "last_phi_seen",
-    "last_progress",
-)
-
-#: Engine-plumbing kernels and column names the mirror-drift extractor
-#: needs by name (SOA002 inlines ``_send``/helpers; SOA004 checks the
-#: generation bump inside the gone branch of the transition kernel and
-#: the recycle shape of the admission path: a recycled slot must keep
-#: its exit-bumped generation — never zero it — and must guard against
-#: the generation overflowing the packed tagged-ref layout).
-MIRROR_PLUMBING: dict[str, str] = {
-    "send": "_send",
-    "transition": "_transition",
-    "oracle": "_consult_oracle",
-    "generation_column": "gen_",
-    "gone_state": "_GONE",
-    "recycle": "admit",
-}
-
 
 class SlotRefView:
     """Thin copy-store-send view over a tagged-int reference.

@@ -17,7 +17,6 @@ a from-scratch :meth:`Engine.rebuild_snapshot`:
 
 from collections import Counter
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -189,11 +188,12 @@ def test_fault_injected_live_equals_rebuild(seed, steps):
 # dirty-ref tracking ≡ fingerprint diffing
 #
 # The write-through ref log replaced per-action fingerprint diffing on the
-# hot path; ``ref_mode="verify"`` keeps both alive and cross-checks the
+# hot path; ``engine_mode="verify"`` keeps both alive and cross-checks the
 # logged net deltas against the fingerprint diff after *every* atomic
-# action (raising StateViolation on divergence). Driving the usual
-# differential workloads in verify mode therefore tests three things at
-# once: the log matches the oracle, and both match the rebuilt graph.
+# action (raising StateViolation on divergence), next to its SoA-core
+# cross-check. Driving the usual differential workloads in verify mode
+# therefore tests three things at once: the log matches the oracle, and
+# both match the rebuilt graph.
 
 
 @given(
@@ -204,13 +204,9 @@ def test_fault_injected_live_equals_rebuild(seed, steps):
 @settings(
     max_examples=25,
     deadline=None,
-    suppress_health_check=[
-        HealthCheck.too_slow,
-        HealthCheck.function_scoped_fixture,
-    ],
+    suppress_health_check=[HealthCheck.too_slow],
 )
-def test_fdp_ref_log_equals_fingerprint_diff(monkeypatch, seed, steps, heavy):
-    monkeypatch.setenv("REPRO_REF_MODE", "verify")
+def test_fdp_ref_log_equals_fingerprint_diff(seed, steps, heavy):
     n = 9
     edges = gen.random_connected(n, 5, seed=seed)
     leaving = choose_leaving(n, edges, fraction=0.4, seed=seed)
@@ -220,8 +216,8 @@ def test_fdp_ref_log_equals_fingerprint_diff(monkeypatch, seed, steps, heavy):
         leaving,
         seed=seed,
         corruption=HEAVY_CORRUPTION if heavy else CLEAN,
+        engine_mode="verify",
     )
-    assert engine.ref_mode == "verify"
     drive_and_check(engine, steps)
 
 
@@ -229,27 +225,28 @@ def test_fdp_ref_log_equals_fingerprint_diff(monkeypatch, seed, steps, heavy):
 @settings(
     max_examples=15,
     deadline=None,
-    suppress_health_check=[
-        HealthCheck.too_slow,
-        HealthCheck.function_scoped_fixture,
-    ],
+    suppress_health_check=[HealthCheck.too_slow],
 )
-def test_fsp_ref_log_equals_fingerprint_diff(monkeypatch, seed, steps):
+def test_fsp_ref_log_equals_fingerprint_diff(seed, steps):
     """FSP adds the tracked ``parked`` RefMap and the anchor RefCell
     churn of park/delegate cycles — the log must net them correctly."""
-    monkeypatch.setenv("REPRO_REF_MODE", "verify")
     n = 8
     edges = gen.random_connected(n, 4, seed=seed)
     leaving = choose_leaving(n, edges, fraction=0.5, seed=seed)
     engine = build_fsp_engine(
-        n, edges, leaving, seed=seed, corruption=HEAVY_CORRUPTION
+        n,
+        edges,
+        leaving,
+        seed=seed,
+        corruption=HEAVY_CORRUPTION,
+        engine_mode="verify",
     )
     drive_and_check(engine, steps)
 
 
-def test_ref_mode_trajectories_identical(monkeypatch):
-    """tracked / verify are observation choices, not semantics: one
-    scenario run to legitimacy in both modes yields identical
+def test_verify_mode_trajectories_identical():
+    """The verify oracles observe, they do not steer: one scenario run
+    to legitimacy on the object loop and in verify mode yields identical
     trajectories and final observables."""
     from repro.core.potential import fdp_legitimate
 
@@ -257,12 +254,15 @@ def test_ref_mode_trajectories_identical(monkeypatch):
     edges = gen.random_connected(n, 6, seed=5)
     leaving = choose_leaving(n, edges, fraction=0.3, seed=5)
     results = {}
-    for mode in ("tracked", "verify"):
-        monkeypatch.setenv("REPRO_REF_MODE", mode)
+    for mode in ("objects", "verify"):
         engine = build_fdp_engine(
-            n, edges, leaving, seed=5, corruption=HEAVY_CORRUPTION
+            n,
+            edges,
+            leaving,
+            seed=5,
+            corruption=HEAVY_CORRUPTION,
+            engine_mode=mode,
         )
-        assert engine.ref_mode == mode
         converged = engine.run(50_000, until=fdp_legitimate, check_every=8)
         results[mode] = (
             converged,
@@ -271,18 +271,4 @@ def test_ref_mode_trajectories_identical(monkeypatch):
             engine.states(),
             edge_multiset(engine.snapshot()),
         )
-    assert results["tracked"] == results["verify"]
-
-
-def test_bad_ref_mode_rejected(monkeypatch):
-    """Only tracked|verify exist; the retired fingerprint mode is
-    rejected like any unknown value."""
-    from repro.errors import ConfigurationError
-    from repro.sim.engine import Engine
-
-    for mode in ("bogus", "fingerprint"):
-        with pytest.raises(ConfigurationError):
-            Engine([], ref_mode=mode)
-        monkeypatch.setenv("REPRO_REF_MODE", mode)
-        with pytest.raises(ConfigurationError):
-            build_fdp_engine(3, [(0, 1), (1, 2)], {2})
+    assert results["objects"] == results["verify"]

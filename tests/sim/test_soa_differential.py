@@ -313,6 +313,20 @@ def test_bad_engine_mode_rejected():
         _build("fdp", "random", 1, 8, engine_mode="bogus")
 
 
+def test_observer_fallback_reason_is_recorded():
+    """An attached observer moves a soa run onto the object loop; the
+    status must say so, and clear the reason once the core drives again."""
+    engine = _build("fdp", "random", 1, 8, engine_mode="soa")
+    engine.monitors.append(lambda engine, executed: None)
+    engine.run(50)
+    status = engine.core_status
+    assert status["active"], status
+    assert status["reason"] is not None and "monitors" in status["reason"]
+    engine.monitors.clear()
+    engine.run(50)
+    assert engine.core_status["reason"] is None
+
+
 # ------------------------------------------------------------ chaos capsule
 
 #: Campaign-free scenario meta: a campaign would re-attach itself as a

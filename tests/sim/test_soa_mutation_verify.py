@@ -1,15 +1,25 @@
-"""Seeded SoA-core mutations are caught by the differential oracle.
+"""Seeded SoA-core mutations are caught by the tests that execute the core.
 
 Each mutation here textually seeds a real mirror bug into a copy of
 ``src/repro/sim/soa.py`` — the core drops a counter flush, posts the
-wrong message label, or skips the generation bump on departure — then
-runs an engine under ``engine_mode="verify"`` and asserts the
-cross-check raises :class:`~repro.errors.StateViolation`.
+wrong message label, skips the generation bump on departure, resets a
+recycled slot's generation, overlaps two packed-record fields, or
+registers a misspelt kernel — swaps the mutated ``EngineCore`` in, and
+asserts that the named oracle rejects it:
 
-These are the dynamic twins of the static SOA0xx rules: every mutation
-in this file is also flagged by ``repro lint`` (see
-tests/lint/test_drift_suite.py), so a mirror-drift bug is caught both
-before the code runs and on the first divergent step.
+* ``verify`` — an engine under ``engine_mode="verify"`` raises on its
+  first divergent step (or, for a broken registry, while building the
+  core);
+* ``soa_vs_objects`` — bugs inside ``run_batch``, which verify mode never
+  calls: the same run on ``engine_mode="soa"`` ends with different
+  statistics than on the object loop;
+* ``recycle`` — the slot-recycle test of ``tests/sim/test_soa_slots.py``
+  fails. Both cores agree on every pid-level observable under that bug,
+  so only the slot bookkeeping itself can see it.
+
+This is the evidence behind the "Retired rules" table of docs/LINT.md:
+every bug class the static mirror analyzer used to flag has a dynamic
+test here that fails under it.
 """
 
 from __future__ import annotations
@@ -27,32 +37,59 @@ from repro.core.scenarios import (
 )
 from repro.errors import StateViolation
 from repro.graphs import generators as gen
+from tests.sim import test_soa_slots as slots
 
 SOA_PATH = Path(__file__).resolve().parents[2] / "src" / "repro" / "sim" / "soa.py"
 
-# (name, original text, replacement text) — identical to the static
-# mutation table in tests/lint/test_drift_suite.py
+# (name, original text, replacement text, oracle that must catch it)
 MUTATIONS = [
     (
         "anchor_purge_posts_wrong_label",
         "\n            self._send(u, u, 0, self.anchor_[u], self.abelief_[u])\n",
         "\n            self._send(u, u, 1, self.anchor_[u], self.abelief_[u])\n",
+        "verify",
     ),
     (
         "timeout_counter_flush_dropped",
         "        self.timeouts += 1\n",
         "",
+        "verify",
     ),
     (
         "generation_bump_skipped",
         "            self.gen_[u] += 1\n",
         "",
+        "verify",
+    ),
+    (
+        "layout_fields_overlap",
+        "_SUBJ_SHIFT = _BEL_SHIFT + 2\n",
+        "_SUBJ_SHIFT = _BEL_SHIFT + 1\n",
+        "verify",
+    ),
+    (
+        "registry_kernel_typo",
+        'kernel="_forward_kernel"',
+        'kernel="_forward_kernal"',
+        "verify",
+    ),
+    (
+        "batch_delivery_flush_dropped",
+        "            self.deliveries += dcount\n",
+        "",
+        "soa_vs_objects",
+    ),
+    (
+        "recycled_generation_reset",
+        "            self.pids[u] = pid\n",
+        "            self.pids[u] = pid\n            self.gen_[u] = 0\n",
+        "recycle",
     ),
 ]
 
 
-def _load_mutated_core(tmp_path: Path, name: str, original: str, replacement: str):
-    """Exec a mutated copy of soa.py and return its EngineCore class."""
+def _load_mutated_soa(tmp_path: Path, name: str, original: str, replacement: str):
+    """Exec a mutated copy of soa.py and return the module."""
     source = SOA_PATH.read_text()
     assert source.count(original) == 1, f"mutation target not unique: {original!r}"
     target = tmp_path / f"soa_{name}.py"
@@ -61,10 +98,10 @@ def _load_mutated_core(tmp_path: Path, name: str, original: str, replacement: st
     assert spec is not None and spec.loader is not None
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.EngineCore
+    return module
 
 
-def _build_verify(seed: int):
+def _build(seed: int, engine_mode: str):
     n = 12
     edges = gen.random_connected(n, n // 2, seed=seed + 7)
     leaving = choose_leaving(n, edges, fraction=0.4, seed=seed + 1)
@@ -75,32 +112,91 @@ def _build_verify(seed: int):
         corruption=HEAVY_CORRUPTION,
         scheduler=SCHEDULER_FACTORIES["random"](seed),
         seed=seed,
-        engine_mode="verify",
+        engine_mode=engine_mode,
     )
 
 
+def _verify_catches() -> bool:
+    for seed in range(8):
+        engine = _build(seed, "verify")
+        try:
+            engine.attach()  # builds the core from the registry
+        except AttributeError:  # a registry row naming no kernel
+            return True
+        try:
+            engine.run(3000, check_every=13)
+        except StateViolation:
+            return True
+    return False
+
+
+def _soa_diverges_from_objects() -> bool:
+    for seed in range(8):
+        outcomes = []
+        for mode in ("objects", "soa"):
+            engine = _build(seed, mode)
+            engine.run(3000, check_every=13)
+            outcomes.append((engine.step_count, engine.stats.as_dict()))
+        if outcomes[0] != outcomes[1]:
+            return True
+    return False
+
+
+def _recycle_test_fails() -> bool:
+    try:
+        slots.test_recycled_slot_keeps_exit_generation()
+    except AssertionError:
+        return True
+    return False
+
+
+#: the oracles for bugs verify mode cannot see
+OTHER_ORACLES = {
+    "soa_vs_objects": _soa_diverges_from_objects,
+    "recycle": _recycle_test_fails,
+}
+
+VERIFY_ROWS = [m[:3] for m in MUTATIONS if m[3] == "verify"]
+OTHER_ROWS = [m for m in MUTATIONS if m[3] != "verify"]
+
+
+def _swap_in_mutated_core(tmp_path, monkeypatch, name, original, replacement):
+    monkeypatch.delenv("REPRO_ENGINE_MODE", raising=False)
+    mutated = _load_mutated_soa(tmp_path, name, original, replacement)
+    # the engine imports these lazily from repro.sim.soa, so patching the
+    # module swaps the core in every mode; the driver must come from the
+    # same module, or run_batch misses its specialized batch loop
+    for attr in ("EngineCore", "CoreUnsupported", "make_driver"):
+        monkeypatch.setattr(f"repro.sim.soa.{attr}", getattr(mutated, attr))
+
+
 @pytest.mark.parametrize(
-    "name,original,replacement", MUTATIONS, ids=[m[0] for m in MUTATIONS]
+    "name,original,replacement", VERIFY_ROWS, ids=[m[0] for m in VERIFY_ROWS]
 )
 def test_mutation_trips_verify_oracle(
     tmp_path: Path, monkeypatch, name: str, original: str, replacement: str
 ) -> None:
-    monkeypatch.delenv("REPRO_ENGINE_MODE", raising=False)
-    mutated = _load_mutated_core(tmp_path, name, original, replacement)
-    # the engine resolves EngineCore lazily inside _rebuild_core, so
-    # patching the soa module swaps the core under verify mode
-    monkeypatch.setattr("repro.sim.soa.EngineCore", mutated)
-    for seed in range(8):
-        engine = _build_verify(seed)
-        try:
-            engine.run(3000, check_every=13)
-        except StateViolation:
-            return  # the oracle caught the seeded bug
-    pytest.fail(f"verify mode never caught mutation {name!r}")
+    _swap_in_mutated_core(tmp_path, monkeypatch, name, original, replacement)
+    assert _verify_catches(), f"verify mode never caught mutation {name!r}"
+
+
+@pytest.mark.parametrize(
+    "name,original,replacement,oracle", OTHER_ROWS, ids=[m[0] for m in OTHER_ROWS]
+)
+def test_mutation_caught_outside_verify(
+    tmp_path: Path, monkeypatch, name: str, original: str, replacement: str, oracle: str
+) -> None:
+    _swap_in_mutated_core(tmp_path, monkeypatch, name, original, replacement)
+    assert OTHER_ORACLES[oracle](), f"{oracle} never caught mutation {name!r}"
 
 
 def test_unmutated_core_passes_verify(monkeypatch) -> None:
     """Control: the harness itself is violation-free on the real core."""
     monkeypatch.delenv("REPRO_ENGINE_MODE", raising=False)
-    engine = _build_verify(0)
-    engine.run(3000, check_every=13)
+    assert not _verify_catches()
+
+
+@pytest.mark.parametrize("oracle", sorted(OTHER_ORACLES))
+def test_unmutated_core_passes_outside_verify(monkeypatch, oracle: str) -> None:
+    monkeypatch.delenv("REPRO_ENGINE_MODE", raising=False)
+    assert not OTHER_ORACLES[oracle]()
