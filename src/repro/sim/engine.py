@@ -74,6 +74,7 @@ from repro.sim.messages import Message, RefInfo, iter_refs
 from repro.sim.process import ActionContext, Process
 from repro.sim.refs import KeyProvider, Ref, pid_of
 from repro.sim.scheduler import (
+    PID_BITS,
     DeliverEvent,
     RandomScheduler,
     Scheduler,
@@ -86,6 +87,14 @@ __all__ = ["Engine", "ExecutedStep", "EngineStats"]
 #: Oracle signature: a predicate over (engine, pid) — equivalently over the
 #: current process graph and the calling process, the paper's O : PG × P.
 Oracle = Callable[["Engine", int], bool]
+
+
+def _check_pid(pid: int) -> None:
+    if not 0 <= pid < 1 << PID_BITS:
+        raise ConfigurationError(
+            f"pid {pid} outside [0, 2**{PID_BITS}); the scheduler pool packs "
+            f"pids into {PID_BITS} bits"
+        )
 
 
 class ExecutedStep:
@@ -183,7 +192,10 @@ class Engine:
     Parameters
     ----------
     processes:
-        The process population. Pids must be unique.
+        The process population. Pids must be unique ints in
+        ``[0, 2**PID_BITS)`` (:data:`~repro.sim.scheduler.PID_BITS` is 32):
+        the default scheduler packs a pid into the low bits of each pool
+        entry. :meth:`admit` enforces the same bound.
     scheduler:
         A :class:`~repro.sim.scheduler.Scheduler`; defaults to a seeded
         :class:`~repro.sim.scheduler.RandomScheduler`.
@@ -193,8 +205,6 @@ class Engine:
     oracle:
         Oracle predicate consulted via ``ctx.oracle()``; ``None`` means any
         consultation raises (protocols that never consult may omit it).
-    key_provider:
-        Ordered keys for protocols declaring ``requires_order``.
     strict:
         If True, messages with unknown labels raise
         :class:`~repro.errors.UnknownActionError` instead of being ignored.
@@ -233,7 +243,6 @@ class Engine:
         *,
         capability: Capability = Capability.EXIT,
         oracle: Oracle | None = None,
-        key_provider: KeyProvider | None = None,
         seed: int = 0,
         strict: bool = True,
         monitors: Sequence[Callable[["Engine", ExecutedStep], None]] = (),
@@ -244,6 +253,7 @@ class Engine:
     ) -> None:
         self.processes: dict[int, Process] = {}
         for proc in processes:
+            _check_pid(proc.pid)
             if proc.pid in self.processes:
                 raise ConfigurationError(f"duplicate pid {proc.pid}")
             self.processes[proc.pid] = proc
@@ -255,7 +265,8 @@ class Engine:
         )
         self.capability = capability
         self._oracle = oracle
-        self._key_provider = key_provider if key_provider is not None else KeyProvider()
+        #: ordered keys for protocols declaring ``requires_order``.
+        self._key_provider = KeyProvider()
         self.strict = strict
         self.monitors = list(monitors)
         self.tracer = tracer
@@ -714,6 +725,7 @@ class Engine:
                 "admit() is for mid-run joins; pass initial processes to Engine()"
             )
         pid = proc.pid
+        _check_pid(pid)
         if pid in self.processes or pid in self._retired_pids:
             raise ConfigurationError(
                 f"pid {pid} already used this run; pids are never reused"
@@ -1237,11 +1249,11 @@ class Engine:
         if not self._attached:
             self.attach()
         if self._engine_mode == "soa":
-            driver = self._soa_driver()
-            if driver is not None:
+            core = self._soa_core()
+            if core is not None:
                 return self._run_soa(
                     max_steps,
-                    driver,
+                    core,
                     until=until,
                     check_every=check_every,
                     raise_on_budget=raise_on_budget,
@@ -1289,12 +1301,13 @@ class Engine:
             )
         return False
 
-    def _soa_driver(self) -> Any | None:
-        """Scheduler driver for a batched soa run, or ``None`` to fall back.
+    def _soa_core(self) -> Any | None:
+        """The core for a batched soa run, or ``None`` to fall back.
 
         Observers (monitors, tracer, provenance, exit auditors) need the
-        object model per step, so their presence forces the object loop;
-        ``core_status["reason"]`` then names them.
+        object model per step, and a scheduler that reads engine state in
+        ``select`` is not core-drivable; either forces the object loop,
+        and ``core_status["reason"]`` then names the cause.
         """
         if (
             self.monitors
@@ -1318,26 +1331,18 @@ class Engine:
         core = self._core
         if core is None:
             return None
+        if not self.scheduler.core_drivable:
+            self._core_reason = (
+                "scheduler not core-drivable: " + type(self.scheduler).__name__
+            )
+            return None
         self._core_reason = None
-        driver = core.cached_driver
-        if driver is None or core.cached_driver_for is not self.scheduler:
-            # One driver per core lifetime: after a run, splice() leaves
-            # the scheduler and the mirror in agreement, and every path
-            # that desynchronizes them marks the core stale (rebuilding
-            # both). Rebuilding the mirror per run would rescan the pool.
-            # A swapped-in scheduler (replay installs one post-build)
-            # invalidates the cache by identity.
-            from repro.sim.soa import make_driver
-
-            driver = make_driver(self, core)
-            core.cached_driver = driver
-            core.cached_driver_for = self.scheduler
-        return driver
+        return core
 
     def _run_soa(
         self,
         max_steps: int,
-        driver: Any,
+        core: Any,
         *,
         until: Callable[["Engine"], bool] | None = None,
         check_every: int = 1,
@@ -1353,8 +1358,7 @@ class Engine:
         mutates engine state out-of-band marks the core stale, and the
         remainder of the budget finishes on the object loop.
         """
-        core = self._core
-        core.driver = driver
+        core.drive(self.scheduler)
         try:
             if until is not None:
                 if until(self):
@@ -1401,7 +1405,7 @@ class Engine:
                 )
             return False
         finally:
-            core.driver = None
+            core.drive(None)
 
     def verify_core_state(self) -> bool:
         """Deep cross-check of the struct-of-arrays core against the

@@ -75,6 +75,10 @@ class ReplayScheduler(Scheduler):
     nondeterministic.
     """
 
+    #: the struct-of-arrays core replays through ``EngineCore._replay_select``,
+    #: which checks the validation below against the core's own columns.
+    core_drivable = True
+
     def __init__(self, events: Iterable[RecordedEvent]) -> None:
         self._events = list(events)
         self._cursor = 0

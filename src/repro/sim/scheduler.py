@@ -62,7 +62,14 @@ __all__ = [
     "OldestFirstScheduler",
     "AdversarialScheduler",
     "SynchronousScheduler",
+    "PID_BITS",
 ]
+
+#: Width of the pid field in a packed :class:`RandomScheduler` pool entry.
+#: The engine rejects pids outside ``[0, 2**PID_BITS)``, so a timeout entry
+#: (the pid) is always below a delivery entry (``(seq + 1) << PID_BITS``).
+PID_BITS = 32
+PID_MASK = (1 << PID_BITS) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,13 +99,14 @@ class Scheduler:
     woken/slept/gone, timeout executed).
     """
 
-    #: True for schedulers whose :meth:`select` is a pure function of the
-    #: notification stream (plus internal RNG) — i.e. it never reads
-    #: engine state. The struct-of-arrays core (``engine_mode="soa"``)
-    #: can drive such schedulers directly from its int-domain step loop;
-    #: schedulers that inspect ``engine.processes``/``engine.channels``
-    #: in ``select`` (synchronous rounds, replay validation) force the
-    #: engine back onto the object path.
+    #: True for schedulers the struct-of-arrays core (``engine_mode="soa"``)
+    #: can drive from its int-domain step loop: their :meth:`select` is a
+    #: pure function of the notification stream (plus internal RNG) and
+    #: never reads engine state. The replay scheduler qualifies too: the
+    #: core re-checks its validation against its own columns. Schedulers
+    #: that inspect ``engine.processes``/``engine.channels`` in ``select``
+    #: (synchronous rounds) keep the engine on the object path, and
+    #: ``Engine.core_status`` names them as the reason.
     core_drivable: bool = False
 
     def attach(self, engine: Engine) -> None:
@@ -138,43 +146,35 @@ class Scheduler:
         raise NotImplementedError
 
 
-class _PoolScheduler(Scheduler):
-    """Shared machinery: a flat pool of enabled events with O(1) removal.
+class RandomScheduler(Scheduler):
+    """Uniformly random choice among all enabled events.
 
-    The pool is a list with a position index, giving O(1) insert, O(1)
-    swap-remove and O(1) uniform sampling — the data structure the
-    randomized and adversarial schedulers build on.
+    Fair with probability 1 (every enabled event is selected with
+    probability ≥ 1/|pool| each step and the pool size is bounded in
+    expectation). Seeded, hence reproducible.
+
+    The enabled events form a flat pool of packed ints with a position
+    index, giving O(1) insert, O(1) swap-remove and O(1) uniform
+    sampling: a timeout entry is the pid itself, a delivery entry is
+    ``((seq + 1) << PID_BITS) | pid``. While the struct-of-arrays core
+    drives a run it appends to and samples this same pool in place, so
+    the order of the entries is part of the schedule.
     """
 
-    def __init__(self) -> None:
-        self._pool: list[tuple] = []  # entries: ("t", pid) | ("d", pid, seq)
-        self._pos: dict[tuple, int] = {}
-        self._stamp: dict[tuple, int] = {}
-        # Scheduler-local arrival clock. Ordering-sensitive schedulers must
-        # NOT mix engine message seqs with engine scheduler stamps: the two
-        # counters advance at different rates (one per post vs one per
-        # executed event), which skews newest/oldest comparisons — measured
-        # as an unbounded channel backlog under oldest-first scheduling.
-        # A plain int (not itertools.count) so its position can be read
-        # and restored — the struct-of-arrays core mirrors and splices
-        # this state when it drives the run.
-        self._arrival = 0
+    core_drivable = True
 
-    def _next_arrival(self) -> int:
-        value = self._arrival
-        self._arrival = value + 1
-        return value
+    def __init__(self, seed: int = 0) -> None:
+        self._pool: list[int] = []
+        self._pos: dict[int, int] = {}
+        self._rng = Random(seed)
 
-    # -- pool primitives -----------------------------------------------------------
-
-    def _add(self, entry: tuple, stamp: int) -> None:
+    def _add(self, entry: int) -> None:
         if entry in self._pos:
             return
         self._pos[entry] = len(self._pool)
         self._pool.append(entry)
-        self._stamp[entry] = stamp
 
-    def _remove(self, entry: tuple) -> None:
+    def _remove(self, entry: int) -> None:
         idx = self._pos.pop(entry, None)
         if idx is None:
             return
@@ -182,63 +182,36 @@ class _PoolScheduler(Scheduler):
         if last != entry:
             self._pool[idx] = last
             self._pos[last] = idx
-        self._stamp.pop(entry, None)
 
     def __len__(self) -> int:
         return len(self._pool)
 
-    # -- hooks -----------------------------------------------------------------
-
     def notify_send(self, pid: int, seq: int) -> None:
-        self._add(("d", pid, seq), self._next_arrival())
+        self._add(((seq + 1) << PID_BITS) | pid)
 
     def notify_wake(self, pid: int, stamp: int) -> None:
-        self._add(("t", pid), self._next_arrival())
+        self._add(pid)
 
     def notify_sleep(self, pid: int) -> None:
-        self._remove(("t", pid))
+        self._remove(pid)
 
     def notify_gone(self, pid: int, pending_seqs: Iterable[int]) -> None:
-        self._remove(("t", pid))
+        self._remove(pid)
         for seq in pending_seqs:
-            self._remove(("d", pid, seq))
+            self._remove(((seq + 1) << PID_BITS) | pid)
 
     def notify_timeout_executed(self, pid: int, new_stamp: int) -> None:
-        entry = ("t", pid)
-        if entry in self._pos:
-            self._stamp[entry] = self._next_arrival()
-
-    @staticmethod
-    def _to_event(entry: tuple) -> Event:
-        if entry[0] == "t":
-            return TimeoutEvent(entry[1])
-        return DeliverEvent(entry[1], entry[2])
-
-    def _consume(self, entry: tuple) -> Event:
-        if entry[0] == "d":
-            self._remove(entry)
-        return self._to_event(entry)
-
-
-class RandomScheduler(_PoolScheduler):
-    """Uniformly random choice among all enabled events.
-
-    Fair with probability 1 (every enabled event is selected with
-    probability ≥ 1/|pool| each step and the pool size is bounded in
-    expectation). Seeded, hence reproducible.
-    """
-
-    core_drivable = True
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__()
-        self._rng = Random(seed)
+        # A timeout stays enabled in place; uniform choice needs no age.
+        return
 
     def select(self, engine: Engine) -> Event | None:
         if not self._pool:
             return None
         entry = self._pool[self._rng.randrange(len(self._pool))]
-        return self._consume(entry)
+        if entry <= PID_MASK:
+            return TimeoutEvent(entry)
+        self._remove(entry)
+        return DeliverEvent(entry & PID_MASK, (entry >> PID_BITS) - 1)
 
 
 class OldestFirstScheduler(Scheduler):
@@ -261,8 +234,7 @@ class OldestFirstScheduler(Scheduler):
         # timeout is stamped after every message already pending, so the
         # backlog drains before the timeout re-fires (mixing engine
         # message seqs with engine stamps skews this and lets channels
-        # grow without bound). A plain int for the same splice-ability
-        # reason as _PoolScheduler's.
+        # grow without bound).
         self._arrival = 0
 
     def _next_arrival(self) -> int:
@@ -314,7 +286,7 @@ class OldestFirstScheduler(Scheduler):
         return None
 
 
-class AdversarialScheduler(_PoolScheduler):
+class AdversarialScheduler(Scheduler):
     """Newest-first schedule bounded by a fairness *patience*.
 
     Prefers the most recently enabled event (LIFO), which maximizes the
@@ -324,25 +296,81 @@ class AdversarialScheduler(_PoolScheduler):
     probability ``jitter`` a uniformly random event is chosen instead,
     which prevents pathological livelocks while keeping the schedule
     hostile.
+
+    Entries are tuples, ``("t", pid)`` or ``("d", pid, seq)``: the age
+    heap breaks ties between equal ages by comparing them.
     """
 
     core_drivable = True
 
     def __init__(self, patience: int = 64, seed: int = 0, jitter: float = 0.1) -> None:
-        super().__init__()
         if patience < 1:
             raise ValueError("patience must be >= 1")
+        self._pool: list[tuple] = []
+        self._pos: dict[tuple, int] = {}
+        self._stamp: dict[tuple, int] = {}
+        # Scheduler-local arrival clock. Ordering-sensitive schedulers must
+        # NOT mix engine message seqs with engine scheduler stamps: the two
+        # counters advance at different rates (one per post vs one per
+        # executed event), which skews newest/oldest comparisons — measured
+        # as an unbounded channel backlog under oldest-first scheduling.
+        self._arrival = 0
         self._patience = patience
         self._rng = Random(seed)
         self._jitter = jitter
         self._age_heap: list[tuple[int, tuple]] = []
         self._steps = 0
 
+    def _next_arrival(self) -> int:
+        value = self._arrival
+        self._arrival = value + 1
+        return value
+
     def _add(self, entry: tuple, stamp: int) -> None:
-        fresh = entry not in self._pos
-        super()._add(entry, stamp)
-        if fresh:
-            heapq.heappush(self._age_heap, (self._steps, entry))
+        if entry in self._pos:
+            return
+        self._pos[entry] = len(self._pool)
+        self._pool.append(entry)
+        self._stamp[entry] = stamp
+        heapq.heappush(self._age_heap, (self._steps, entry))
+
+    def _remove(self, entry: tuple) -> None:
+        idx = self._pos.pop(entry, None)
+        if idx is None:
+            return
+        last = self._pool.pop()
+        if last != entry:
+            self._pool[idx] = last
+            self._pos[last] = idx
+        self._stamp.pop(entry, None)
+
+    def __len__(self) -> int:
+        return len(self._pool)
+
+    def notify_send(self, pid: int, seq: int) -> None:
+        self._add(("d", pid, seq), self._next_arrival())
+
+    def notify_wake(self, pid: int, stamp: int) -> None:
+        self._add(("t", pid), self._next_arrival())
+
+    def notify_sleep(self, pid: int) -> None:
+        self._remove(("t", pid))
+
+    def notify_gone(self, pid: int, pending_seqs: Iterable[int]) -> None:
+        self._remove(("t", pid))
+        for seq in pending_seqs:
+            self._remove(("d", pid, seq))
+
+    def notify_timeout_executed(self, pid: int, new_stamp: int) -> None:
+        entry = ("t", pid)
+        if entry in self._pos:
+            self._stamp[entry] = self._next_arrival()
+
+    def _consume(self, entry: tuple) -> Event:
+        if entry[0] == "t":
+            return TimeoutEvent(entry[1])
+        self._remove(entry)
+        return DeliverEvent(entry[1], entry[2])
 
     def select(self, engine: Engine) -> Event | None:
         if not self._pool:

@@ -29,9 +29,12 @@ The core runs in two roles selected by ``Engine(engine_mode=...)``:
   cross-checks the engine's write-through ref log against a
   fingerprint diff after every action.
 * ``soa`` — the core *drives* (:meth:`run_batch`): it selects events
-  through a scheduler driver, executes kernels, and the engine exports
-  the final state back into the object model
-  (:meth:`export_to`) at predicate boundaries and run end.
+  from the engine's own scheduler (:meth:`drive`), executes kernels,
+  and the engine exports the final state back into the object model
+  (:meth:`export_to`) at predicate boundaries and run end. The
+  scheduler has one state only: the core samples and appends to a
+  :class:`~repro.sim.scheduler.RandomScheduler`'s packed-int pool in
+  place, and notifies any other scheduler through its public hooks.
 
 Eligibility is checked at construction: homogeneous exact-type
 FDP/FSP populations, a kernelizable oracle (``None``/SINGLE/ALWAYS/
@@ -50,7 +53,6 @@ iteration orders stay bit-identical between the two cores.
 from __future__ import annotations
 
 from array import array
-from random import Random
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import (
@@ -60,10 +62,14 @@ from repro.errors import (
     UnknownActionError,
 )
 from repro.sim.messages import Message, RefInfo
-from repro.sim.refs import REF_GEN_BITS, REF_SLOT_BITS, tag_ref
+from repro.sim.refs import REF_GEN_BITS, REF_SLOT_BITS
+from repro.sim.replay import ReplayScheduler
 from repro.sim.scheduler import (
+    PID_BITS,
+    PID_MASK,
     DeliverEvent,
     RandomScheduler,
+    Scheduler,
     TimeoutEvent,
 )
 from repro.sim.states import Mode, PState
@@ -71,7 +77,7 @@ from repro.sim.states import Mode, PState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
 
-__all__ = ["EngineCore", "CoreUnsupported", "SlotRefView"]
+__all__ = ["EngineCore", "CoreUnsupported"]
 
 # Belief codes: raw piggybacked/stored beliefs. Normalization (the Φ
 # convention: an absent belief counts as a staying claim) maps 2 → 0.
@@ -180,313 +186,6 @@ MIRROR_PROTOCOLS: tuple[MirrorProtocol, ...] = (
     ),
 )
 
-class SlotRefView:
-    """Thin copy-store-send view over a tagged-int reference.
-
-    The boundary object handed out when core state is surfaced without
-    going through the object model (debug dumps, delta feeds): equality
-    and hashing delegate to the tagged int, so two views are equal iff
-    slot *and* generation agree — a reference that survived its
-    process's exit never matches a live one.
-    """
-
-    __slots__ = ("_tag",)
-
-    def __init__(self, tag: int) -> None:
-        object.__setattr__(self, "_tag", tag)
-
-    @property
-    def tag(self) -> int:
-        return self._tag
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SlotRefView):
-            return self._tag == other._tag
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        if isinstance(other, SlotRefView):
-            return self._tag != other._tag
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((0x50A, self._tag))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SlotRefView is immutable")
-
-    def __repr__(self) -> str:
-        slot = self._tag & ((1 << REF_SLOT_BITS) - 1)
-        gen = self._tag >> REF_SLOT_BITS
-        return f"SlotRef<{slot}@{gen}>"
-
-
-# ---------------------------------------------------------------------------
-# Scheduler drivers (soa mode): the core's event source.
-
-
-class _ObjectSchedDriver:
-    """Drive a real (core-drivable) scheduler object from the int loop.
-
-    Used for :class:`OldestFirstScheduler` and
-    :class:`AdversarialScheduler`: their ``select`` never reads engine
-    state, so the core can feed them notifications in the engine's
-    exact order and translate the returned events to slots.
-    """
-
-    __slots__ = ("_sched", "_pids", "_slot_of")
-
-    def __init__(self, sched: Any, pids: list[int], slot_of: dict[int, int]) -> None:
-        self._sched = sched
-        self._pids = pids
-        self._slot_of = slot_of
-
-    def select(self) -> tuple[bool, int, int] | None:
-        ev = self._sched.select(None)
-        if ev is None:
-            return None
-        if type(ev) is TimeoutEvent:
-            return (True, self._slot_of[ev.pid], -1)
-        return (False, self._slot_of[ev.pid], ev.seq)
-
-    def notify_send(self, slot: int, seq: int) -> None:
-        self._sched.notify_send(self._pids[slot], seq)
-
-    def notify_wake(self, slot: int, stamp: int) -> None:
-        self._sched.notify_wake(self._pids[slot], stamp)
-
-    def notify_sleep(self, slot: int) -> None:
-        self._sched.notify_sleep(self._pids[slot])
-
-    def notify_gone(self, slot: int, seqs: list[int]) -> None:
-        self._sched.notify_gone(self._pids[slot], seqs)
-
-    def notify_timeout_executed(self, slot: int, stamp: int) -> None:
-        self._sched.notify_timeout_executed(self._pids[slot], stamp)
-
-    def splice(self) -> None:
-        """Nothing to write back: the real object was mutated in place."""
-
-
-class _ReplayDriver:
-    """Drive a :class:`~repro.sim.replay.ReplayScheduler` from the int loop.
-
-    Replays need no notifications; the only engine reads in the object
-    scheduler's ``select`` are the validation guards, re-expressed here
-    against the core's own columns (``state_``, ``ch``) so recorded
-    schedules — including chaos capsules — execute on the core without
-    a per-step export. The cursor advances on the shared scheduler
-    object, so the object path continues seamlessly after a batch.
-    """
-
-    __slots__ = ("_sched", "_core", "_slot_of")
-
-    def __init__(self, sched: Any, core: EngineCore) -> None:
-        self._sched = sched
-        self._core = core
-        self._slot_of = core.slot_of
-
-    def select(self) -> tuple[bool, int, int] | None:
-        sched = self._sched
-        events = sched._events  # noqa: SLF001 - shared-cursor contract
-        cursor = sched._cursor  # noqa: SLF001
-        if cursor >= len(events):
-            return None
-        event = events[cursor]
-        sched._cursor = cursor + 1  # noqa: SLF001
-        core = self._core
-        u = self._slot_of.get(event.pid)
-        if event.kind == "timeout":
-            if u is None or core.state_[u] != _AWAKE:
-                raise ConfigurationError(
-                    f"replay diverged at #{cursor + 1}: timeout for "
-                    f"non-awake process {event.pid}"
-                )
-            return (True, u, -1)
-        if event.kind == "deliver":
-            if u is None or event.seq not in core.ch[u]:
-                raise ConfigurationError(
-                    f"replay diverged at #{cursor + 1}: message "
-                    f"{event.seq} not pending at process {event.pid}"
-                )
-            return (False, u, event.seq)
-        raise ConfigurationError(f"unknown recorded event kind {event.kind!r}")
-
-    def notify_send(self, slot: int, seq: int) -> None:
-        return
-
-    def notify_wake(self, slot: int, stamp: int) -> None:
-        return
-
-    def notify_sleep(self, slot: int) -> None:
-        return
-
-    def notify_gone(self, slot: int, seqs: list[int]) -> None:
-        return
-
-    def notify_timeout_executed(self, slot: int, stamp: int) -> None:
-        return
-
-    def splice(self) -> None:
-        """Nothing to write back: the cursor lives on the shared object."""
-
-
-class _RandomMirror:
-    """Int-entry mirror of a :class:`RandomScheduler`'s pool.
-
-    The pool scheduler's tuple entries (``("d", pid, seq)``) dominate
-    the allocation profile of an unmonitored run, so for the exact
-    default scheduler type the core mirrors the pool as packed ints:
-    a timeout entry is the slot itself; a delivery entry is
-    ``(seq + 1) << nbits | slot``. The mirror *shares* the scheduler's
-    ``Random`` instance (its state advances identically) and replicates
-    the pool's swap-remove order and the arrival-clock consumption
-    rules exactly, so every ``randrange`` draw sees the same pool size
-    and index layout as the object path would. :meth:`splice` writes
-    the pool back as tuples so the object scheduler continues
-    seamlessly after the batch.
-    """
-
-    __slots__ = (
-        "_sched",
-        "_pids",
-        "_slot_of",
-        "_nbits",
-        "_dbase",
-        "_smask",
-        "_pool",
-        "_pos",
-        "_stamps",
-        "_arrival",
-        "_rng",
-    )
-
-    def __init__(
-        self, sched: RandomScheduler, pids: list[int], slot_of: dict[int, int]
-    ) -> None:
-        self._sched = sched
-        self._pids = pids
-        self._slot_of = slot_of
-        nbits = max(1, len(pids).bit_length())
-        self._nbits = nbits
-        self._dbase = 1 << nbits
-        self._smask = self._dbase - 1
-        self._pool: list[int] = []
-        self._pos: dict[int, int] = {}
-        # Arrival stamps as a list aligned index-for-index with _pool
-        # (swap-remove maintains the pairing): list append/pop beats a
-        # second big dict on the hot path, and delivered entries leave
-        # no dead stamps behind.
-        self._stamps: list[int] = []
-        self._arrival = sched._arrival  # noqa: SLF001 - mirror splice contract
-        self._rng: Random = sched._rng  # noqa: SLF001 - shared state, no splice
-        for entry in sched._pool:  # noqa: SLF001
-            enc = self._encode(entry)
-            self._pos[enc] = len(self._pool)
-            self._pool.append(enc)
-            self._stamps.append(sched._stamp[entry])  # noqa: SLF001
-
-    def _encode(self, entry: tuple) -> int:
-        slot = self._slot_of[entry[1]]
-        if entry[0] == "t":
-            return slot
-        return ((entry[2] + 1) << self._nbits) | slot
-
-    def _decode(self, enc: int) -> tuple:
-        slot = enc & self._smask
-        if enc < self._dbase:
-            return ("t", self._pids[slot])
-        return ("d", self._pids[slot], (enc >> self._nbits) - 1)
-
-    # -- pool primitives (replicating _PoolScheduler exactly) ------------------
-
-    def _add(self, enc: int, stamp: int) -> None:
-        if enc in self._pos:
-            return
-        self._pos[enc] = len(self._pool)
-        self._pool.append(enc)
-        self._stamps.append(stamp)
-
-    def _remove(self, enc: int) -> None:
-        idx = self._pos.pop(enc, None)
-        if idx is None:
-            return
-        last = self._pool.pop()
-        st = self._stamps.pop()
-        if last != enc:
-            self._pool[idx] = last
-            self._stamps[idx] = st
-            self._pos[last] = idx
-
-    # -- notification hooks ----------------------------------------------------
-
-    def notify_send(self, slot: int, seq: int) -> None:
-        # Call-site semantics: the arrival clock advances on every
-        # notification, even when _add dedups the entry.
-        value = self._arrival
-        self._arrival = value + 1
-        self._add(((seq + 1) << self._nbits) | slot, value)
-
-    def notify_wake(self, slot: int, stamp: int) -> None:
-        value = self._arrival
-        self._arrival = value + 1
-        self._add(slot, value)
-
-    def notify_sleep(self, slot: int) -> None:
-        self._remove(slot)
-
-    def notify_gone(self, slot: int, seqs: list[int]) -> None:
-        self._remove(slot)
-        nbits = self._nbits
-        for seq in seqs:
-            self._remove(((seq + 1) << nbits) | slot)
-
-    def notify_timeout_executed(self, slot: int, stamp: int) -> None:
-        # Arrival consumed only when the entry is present (the object
-        # scheduler guards the consumption inside the method body).
-        idx = self._pos.get(slot)
-        if idx is not None:
-            value = self._arrival
-            self._arrival = value + 1
-            self._stamps[idx] = value
-
-    def select(self) -> tuple[bool, int, int] | None:
-        pool = self._pool
-        if not pool:
-            return None
-        enc = pool[self._rng.randrange(len(pool))]
-        if enc >= self._dbase:
-            self._remove(enc)
-            return (False, enc & self._smask, (enc >> self._nbits) - 1)
-        return (True, enc, -1)
-
-    def splice(self) -> None:
-        """Write the mirrored pool state back into the real scheduler.
-
-        One decode per live pool entry; the aligned stamps list gives
-        each entry's arrival stamp by position.
-        """
-        sched = self._sched
-        nbits = self._nbits
-        smask = self._smask
-        dbase = self._dbase
-        pids = self._pids
-        mstamps = self._stamps
-        pool: list[tuple] = []
-        stamps: dict[tuple, int] = {}
-        for i, enc in enumerate(self._pool):
-            slot = enc & smask
-            if enc < dbase:
-                entry: tuple = ("t", pids[slot])
-            else:
-                entry = ("d", pids[slot], (enc >> nbits) - 1)
-            pool.append(entry)
-            stamps[entry] = mstamps[i]
-        sched._pool = pool  # noqa: SLF001 - mirror splice contract
-        sched._pos = {entry: i for i, entry in enumerate(pool)}  # noqa: SLF001
-        sched._stamp = stamps  # noqa: SLF001
-        sched._arrival = self._arrival  # noqa: SLF001
-
 
 # ---------------------------------------------------------------------------
 # The core itself.
@@ -524,7 +223,6 @@ class EngineCore:
         "free_slots",
         "dead_pins",
         "archived_stats",
-        "_mirror",
         "phi",
         "edge_total",
         "pending",
@@ -557,9 +255,9 @@ class EngineCore:
         "last_progress",
         "last_phi_seen",
         "last_acted",
-        "driver",
-        "cached_driver",
-        "cached_driver_for",
+        "sched",
+        "_pool",
+        "_pos",
     )
 
     def __init__(self, engine: Engine) -> None:
@@ -727,7 +425,7 @@ class EngineCore:
                     bel = (rec >> _BEL_SHIFT) & 3
                     self._edge(i, subj, _STAYING if bel == _NONE else bel, 1)
 
-        # Counters, spliced from the engine's current position.
+        # Counters, copied from the engine's current position.
         stats = engine.stats
         self.steps = engine.step_count
         self.stat_steps = stats.steps
@@ -763,14 +461,13 @@ class EngineCore:
         #: action cursor: the step index at which each slot last executed
         #: an action (timeout or delivery) — new SoA-only observability.
         self.last_acted = [-1] * n
-        #: scheduler driver while the core drives (soa mode); None while
-        #: mirroring (verify mode). ``_mirror`` caches the driver iff it
-        #: is the inlinable :class:`_RandomMirror`.
-        self.driver: Any | None = None
-        self._mirror: _RandomMirror | None = None
-        #: engine-held driver cache (one driver per core lifetime).
-        self.cached_driver: Any | None = None
-        self.cached_driver_for: Any | None = None
+        #: the engine's scheduler while the core drives (soa mode); None
+        #: while mirroring (verify mode). ``_pool``/``_pos`` are its
+        #: packed-int pool and position index when it is exactly a
+        #: :class:`RandomScheduler`, whose sends the kernels append inline.
+        self.sched: Scheduler | None = None
+        self._pool: list[int] | None = None
+        self._pos: dict[int, int] | None = None
 
     def _by_list(self, by: dict[int, int], n: int, name: str) -> list[int]:
         arr = [0] * n
@@ -816,16 +513,6 @@ class EngineCore:
             | ((subj + 1) << _SUBJ_SHIFT)
             | ((sender + 1) << _SENDER_SHIFT)
         )
-
-    # ------------------------------------------------------------------ refs
-
-    def tagged_ref(self, slot: int) -> int:
-        """Current tagged-int reference for *slot*."""
-        return tag_ref(slot, self.gen_[slot])
-
-    def ref_view(self, slot: int) -> SlotRefView:
-        """Boundary view object for *slot*'s current reference."""
-        return SlotRefView(self.tagged_ref(slot))
 
     # ------------------------------------------------------------------ edges
 
@@ -892,23 +579,17 @@ class EngineCore:
         self.edge_total += 1
         if (_STAYING if bel == _NONE else bel) != self.mode_[subj]:
             self.phi += 1
-        m = self._mirror
-        if m is not None:
-            # inline _RandomMirror.notify_send (arrival always
-            # consumed). The generic _add dedups on the entry, but a
-            # freshly allocated seq can never already be pooled, so
-            # the membership probe is elided here.
-            value = m._arrival
-            m._arrival = value + 1
-            enc = ((seq + 1) << m._nbits) | dst
-            pool = m._pool
-            m._pos[enc] = len(pool)
-            pool.append(enc)
-            m._stamps.append(value)
+        pool = self._pool
+        if pool is not None:
+            # RandomScheduler.notify_send, inlined. A freshly allocated
+            # seq can never already be pooled, so the dedup is elided.
+            entry = ((seq + 1) << PID_BITS) | self.pids[dst]
+            self._pos[entry] = len(pool)
+            pool.append(entry)
         else:
-            driver = self.driver
-            if driver is not None:
-                driver.notify_send(dst, seq)
+            sched = self.sched
+            if sched is not None:
+                sched.notify_send(self.pids[dst], seq)
 
     def _bounce(self, src: int, dst: int, subj: int, bel: int) -> None:
         """Kernel of ``Engine._bounce`` for the two-record reintegration:
@@ -926,27 +607,21 @@ class EngineCore:
         self._edge(src, dst, _LEAVING, 1)
         self._edge(src, subj, _STAYING if bel == _NONE else bel, 1)
         self.bounced += 1
-        m = self._mirror
-        if m is not None:
-            value = m._arrival
-            nbits = m._nbits
-            pool = m._pool
-            pos = m._pos
-            stamps = m._stamps
-            enc = ((seq + 1) << nbits) | src
+        pid = self.pids[src]
+        pool = self._pool
+        if pool is not None:
+            pos = self._pos
+            enc = ((seq + 1) << PID_BITS) | pid
             pos[enc] = len(pool)
             pool.append(enc)
-            stamps.append(value)
-            enc = ((seq + 2) << nbits) | src
+            enc = ((seq + 2) << PID_BITS) | pid
             pos[enc] = len(pool)
             pool.append(enc)
-            stamps.append(value + 1)
-            m._arrival = value + 2
         else:
-            driver = self.driver
-            if driver is not None:
-                driver.notify_send(src, seq)
-                driver.notify_send(src, seq + 1)
+            sched = self.sched
+            if sched is not None:
+                sched.notify_send(pid, seq)
+                sched.notify_send(pid, seq + 1)
 
     def _transition(self, u: int, new_state: int) -> None:
         """Kernel of ``Engine._transition`` (legality is guaranteed by the
@@ -958,13 +633,13 @@ class EngineCore:
         self.last_progress = self.steps
         if old == _ASLEEP:
             self.asleep -= 1
-        driver = self.driver
+        sched = self.sched
         if new_state == _GONE:
             self.exits += 1
             self.gone += 1
             self.gen_[u] += 1
-            if driver is not None:
-                driver.notify_gone(u, list(self.ch[u]))
+            if sched is not None:
+                sched.notify_gone(self.pids[u], list(self.ch[u]))
             self._purge_out_edges(u)
             # The purged references stay physically present in the gone
             # slot's stores and channel — convert them to dead pins so
@@ -973,14 +648,14 @@ class EngineCore:
         elif new_state == _ASLEEP:
             self.sleeps += 1
             self.asleep += 1
-            if driver is not None:
-                driver.notify_sleep(u)
+            if sched is not None:
+                sched.notify_sleep(self.pids[u])
         else:
             self.wakes += 1
             stamp = self.clock
             self.clock = stamp + 1
-            if driver is not None:
-                driver.notify_wake(u, stamp)
+            if sched is not None:
+                sched.notify_wake(self.pids[u], stamp)
 
     # ------------------------------------------------------------------ open-system churn
 
@@ -1112,10 +787,6 @@ class EngineCore:
         del self.slot_of[pid]
         self.free_slots.append(u)
         self.gone -= 1
-        # Slot identity changed: any cached scheduler driver encodes pool
-        # entries against the old slot census.
-        self.cached_driver = None
-        self.cached_driver_for = None
 
     def admit(self, pid: int, proc: Any) -> None:
         """Mirror of ``Engine.admit``: give *pid* a slot, recycling from
@@ -1225,10 +896,6 @@ class EngineCore:
             self.aprobe_[u] = 1 if proc.anchor_probe_sent else 0
         # The engine's scheduler wake consumes one freshness stamp.
         self.clock += 1
-        # Slot census changed (growth moves the _RandomMirror's bit split;
-        # recycling re-keys slot_of): rebuild the driver on next use.
-        self.cached_driver = None
-        self.cached_driver_for = None
 
     # ------------------------------------------------------------------ oracle
 
@@ -1373,8 +1040,8 @@ class EngineCore:
             # neither reads N — and Φ is only observed between actions).
             drops = None
             nd = self.N[u]
-            m = self._mirror
-            if m is None:
+            pool = self._pool
+            if pool is None:
                 for v, bel in nd.items():
                     if bel == _LEAVING:  # lines 20-21
                         if drops is None:
@@ -1383,17 +1050,14 @@ class EngineCore:
                             drops.append(v)
                     self._send(u, v, 0, u, mode)  # line 22
             elif nd:
-                # line 22 bulk-specialized for the mirror path: sender
-                # and subject are both u, the belief is u's own mode
-                # (staying), so the packed record is loop-constant and
-                # Φ can never move (the enqueue edge always agrees with
-                # mode_[u]). Everything batchable is batched.
+                # line 22 bulk-specialized for the RandomScheduler pool:
+                # sender and subject are both u, the belief is u's own
+                # mode (staying), so the packed record is loop-constant
+                # and Φ can never move (the enqueue edge always agrees
+                # with mode_[u]). Everything batchable is batched.
                 seq = self.next_seq
-                value = m._arrival
-                nbits = m._nbits
-                pool = m._pool
-                pos = m._pos
-                stamps = m._stamps
+                pos = self._pos
+                pids = self.pids
                 ch = self.ch
                 state_ = self.state_
                 received_by = self.received_by
@@ -1418,11 +1082,9 @@ class EngineCore:
                         inn[v] = inn.get(v, 0) + 1
                         edges += 1
                         sent += 1
-                        enc = ((seq + 1) << nbits) | v
+                        enc = ((seq + 1) << PID_BITS) | pids[v]
                         pos[enc] = len(pool)
                         pool.append(enc)
-                        stamps.append(value)
-                        value += 1
                         seq += 1
                     else:
                         # Self-introduction to a gone neighbour: the
@@ -1430,7 +1092,6 @@ class EngineCore:
                         # itself — nothing to reintegrate).
                         dropped += 1
                 self.next_seq = seq
-                m._arrival = value
                 self.sent_by[u] += sent
                 self.edge_total += edges
                 self.dropped_gone += dropped
@@ -1557,9 +1218,9 @@ class EngineCore:
         if self.state_[u] == _AWAKE:
             stamp = self.clock
             self.clock = stamp + 1
-            driver = self.driver
-            if driver is not None:
-                driver.notify_timeout_executed(u, stamp)
+            sched = self.sched
+            if sched is not None:
+                sched.notify_timeout_executed(self.pids[u], stamp)
 
     def _run_delivery(self, u: int, seq: int) -> None:
         if self.state_[u] == _GONE:  # pragma: no cover - scheduler contract
@@ -1629,52 +1290,96 @@ class EngineCore:
 
     # ------------------------------------------------------------------ driving (soa)
 
+    def drive(self, sched: Scheduler | None) -> None:
+        """Hand the core the engine's scheduler for batched runs; ``None``
+        takes it back.
+
+        Nothing is copied: a :class:`RandomScheduler`'s pool is sampled
+        and appended to in place, and any other scheduler hears every
+        event through its public hooks, so the object loop continues from
+        the same scheduler state after a batch.
+        """
+        self.sched = sched
+        if type(sched) is RandomScheduler:
+            self._pool = sched._pool  # noqa: SLF001 - the core shares the pool
+            self._pos = sched._pos  # noqa: SLF001
+        else:
+            self._pool = self._pos = None
+
+    def _replay_select(self, sched: ReplayScheduler) -> TimeoutEvent | DeliverEvent | None:
+        """``ReplayScheduler.select`` with its validation guards checked
+        against the core's own columns (``state_``, ``ch``), so recorded
+        schedules — chaos capsules included — replay on the core. The
+        cursor advances on the scheduler itself, so the object path
+        continues seamlessly after a batch."""
+        events = sched._events  # noqa: SLF001 - shared-cursor contract
+        cursor = sched._cursor  # noqa: SLF001
+        if cursor >= len(events):
+            return None
+        event = events[cursor]
+        sched._cursor = cursor + 1  # noqa: SLF001
+        u = self.slot_of.get(event.pid)
+        if event.kind == "timeout":
+            if u is None or self.state_[u] != _AWAKE:
+                raise ConfigurationError(
+                    f"replay diverged at #{cursor + 1}: timeout for "
+                    f"non-awake process {event.pid}"
+                )
+            return TimeoutEvent(event.pid)
+        if event.kind == "deliver":
+            if u is None or event.seq not in self.ch[u]:
+                raise ConfigurationError(
+                    f"replay diverged at #{cursor + 1}: message "
+                    f"{event.seq} not pending at process {event.pid}"
+                )
+            return DeliverEvent(event.pid, event.seq)
+        raise ConfigurationError(f"unknown recorded event kind {event.kind!r}")
+
     def run_batch(self, budget: int) -> int:
-        """Execute up to *budget* events through the scheduler driver.
+        """Execute up to *budget* events chosen by the scheduler handed
+        over in :meth:`drive`.
 
         Returns the executed count; fewer than *budget* means the system
         went quiescent.
         """
-        driver = self.driver
-        if driver is None:
-            raise ConfigurationError("run_batch requires a scheduler driver")
-        if type(driver) is _RandomMirror:
-            self._mirror = driver
-            return self._run_batch_random(driver, budget)
-        self._mirror = None
+        sched = self.sched
+        if sched is None:
+            raise ConfigurationError("run_batch requires a scheduler; call drive()")
+        if self._pool is not None:
+            return self._run_batch_random(sched, budget)
+        replay = isinstance(sched, ReplayScheduler)
+        slot_of = self.slot_of
         executed = 0
         while executed < budget:
-            ev = driver.select()
+            ev = self._replay_select(sched) if replay else sched.select(None)
             if ev is None:
                 break
-            is_timeout, u, seq = ev
-            if is_timeout:
+            u = slot_of[ev.pid]
+            if type(ev) is TimeoutEvent:
                 self._run_timeout(u)
             else:
-                self._run_delivery(u, seq)
+                self._run_delivery(u, ev.seq)
             self._after_step()
             executed += 1
         return executed
 
-    def _run_batch_random(self, drv: _RandomMirror, budget: int) -> int:
+    def _run_batch_random(self, sched: RandomScheduler, budget: int) -> int:
         """:meth:`run_batch` specialized for the default scheduler.
 
-        The mirror's select (one ``randrange`` + a swap-remove) and the
-        per-step bookkeeping are inlined: at n=4096 the generic
-        driver-protocol loop spends a third of its time on these four
+        ``RandomScheduler.select`` (one ``randrange`` + a swap-remove) and
+        the per-step bookkeeping are inlined: at n=4096 the generic
+        select-and-dispatch loop spends a third of its time on these
         delegating calls alone.
         """
-        pool = drv._pool
-        pos = drv._pos
-        stamps = drv._stamps
+        pool = self._pool
+        pos = self._pos
         # randrange(n) for a positive int upper bound is exactly
         # _randbelow(n), and _randbelow_with_getrandbits is small enough
         # to inline below: the identical random bits are consumed while
         # skipping two Python call frames per step.
-        getrandbits = drv._rng.getrandbits
-        dbase = drv._dbase
-        smask = drv._smask
-        nbits = drv._nbits
+        getrandbits = sched._rng.getrandbits  # noqa: SLF001
+        slot_of = self.slot_of
+        pid_mask = PID_MASK
         # the event handlers' containers, hoisted out of the loop.
         ch = self.ch
         state_ = self.state_
@@ -1707,20 +1412,18 @@ class EngineCore:
                 while r >= lp:
                     r = getrandbits(k)
                 enc = pool[r]
-                if enc >= dbase:
-                    # inline drv._remove(enc): swap-remove, order-faithful.
+                if enc > pid_mask:
+                    # inline sched._remove(enc): swap-remove, order-faithful.
                     idx = pos.pop(enc)
                     last = pool.pop()
-                    st = stamps.pop()
                     if last != enc:
                         pool[idx] = last
-                        stamps[idx] = st
                         pos[last] = idx
-                    # inline _run_delivery(u, seq). The gone-process driver
+                    # inline _run_delivery(u, seq). The gone-process
                     # contract check is elided: notify_gone strips every
-                    # pending delivery of a gone slot from the mirror's pool.
-                    u = enc & smask
-                    rec = ch[u].pop((enc >> nbits) - 1)
+                    # pending delivery of a gone process from the pool.
+                    u = slot_of[enc & pid_mask]
+                    rec = ch[u].pop((enc >> PID_BITS) - 1)
                     subj = ((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1
                     bel = (rec >> _BEL_SHIFT) & 3
                     if subj >= 0:
@@ -1753,10 +1456,10 @@ class EngineCore:
                     deliveries_by[u] += 1
                     last_acted[u] = steps
                 else:
-                    # inline _run_timeout(enc): the mirror pool only holds
-                    # timeout entries for awake slots, so the driver-contract
-                    # check is elided.
-                    u = enc
+                    # inline _run_timeout(u): the pool only holds timeout
+                    # entries for awake processes, so the contract check is
+                    # elided.
+                    u = slot_of[enc]
                     requested = timeout_kernel(u)
                     if requested is not None:
                         self.steps = steps
@@ -1764,14 +1467,9 @@ class EngineCore:
                     timeouts_by[u] += 1
                     last_acted[u] = steps
                     if state_[u] == _AWAKE:
-                        cstamp = self.clock
-                        self.clock = cstamp + 1
-                        # inline mirror notify_timeout_executed.
-                        idx = pos.get(u)
-                        if idx is not None:
-                            value = drv._arrival
-                            drv._arrival = value + 1
-                            stamps[idx] = value
+                        # the re-enable stamp; RandomScheduler's
+                        # notify_timeout_executed ignores it.
+                        self.clock += 1
                 # inline _after_step()
                 steps += 1
                 phi = self.phi
@@ -2093,24 +1791,7 @@ class EngineCore:
         engine._lifecycle_stale = False  # noqa: SLF001
         engine._last_progress_step = self.last_progress  # noqa: SLF001
         engine._last_phi_seen = self.last_phi_seen  # noqa: SLF001
-        driver = self.driver
-        if driver is not None:
-            driver.splice()
         # The engine now matches the core exactly — the export itself is
         # not a reason to rebuild the core on the next run.
         engine._core_stale = False  # noqa: SLF001
 
-
-def make_driver(engine: Engine, core: EngineCore) -> Any | None:
-    """Build the scheduler driver for a core-driven run, or ``None`` when
-    the scheduler cannot be driven from the int domain."""
-    sched = engine.scheduler
-    if type(sched) is RandomScheduler:
-        return _RandomMirror(sched, core.pids, core.slot_of)
-    if getattr(sched, "core_drivable", False):
-        return _ObjectSchedDriver(sched, core.pids, core.slot_of)
-    from repro.sim.replay import ReplayScheduler
-
-    if type(sched) is ReplayScheduler:
-        return _ReplayDriver(sched, core)
-    return None

@@ -8,7 +8,7 @@ from repro.sim.engine import Engine
 from repro.sim.messages import RefInfo
 from repro.sim.process import Process
 from repro.sim.refs import Ref
-from repro.sim.scheduler import OldestFirstScheduler
+from repro.sim.scheduler import PID_BITS, OldestFirstScheduler
 from repro.sim.states import Capability, Mode, PState
 
 
@@ -39,6 +39,16 @@ class TestConstruction:
     def test_duplicate_pid_rejected(self):
         with pytest.raises(ConfigurationError):
             make([Recorder(1), Recorder(1)])
+
+    @pytest.mark.parametrize("pid", [-1, 1 << PID_BITS])
+    def test_pid_outside_packed_range_rejected(self, pid):
+        with pytest.raises(ConfigurationError, match="outside"):
+            make([Recorder(0), Recorder(pid)])
+        eng = make([Recorder(0)])
+        eng.attach()
+        with pytest.raises(ConfigurationError, match="outside"):
+            eng.admit(Recorder(pid))
+        assert set(eng.processes) == {0}
 
     def test_channels_created_per_process(self):
         eng = make([Recorder(0), Recorder(1)])

@@ -47,7 +47,8 @@ from repro.core.scenarios import (
 )
 from repro.graphs import generators as gen
 from repro.sim.refs import pid_of
-from repro.sim.replay import ScheduleRecorder
+from repro.sim.replay import ReplayScheduler, ScheduleRecorder
+from repro.sim.soa import EngineCore
 from repro.sim.states import PState
 
 MODES = ("objects", "soa", "verify")
@@ -327,11 +328,41 @@ def test_observer_fallback_reason_is_recorded():
     assert engine.core_status["reason"] is None
 
 
+def test_non_drivable_scheduler_reason_is_recorded(monkeypatch):
+    """A soa run under a scheduler the core cannot drive executes on the
+    object loop; the status must name the scheduler, and clear the reason
+    once the core drives again."""
+    batches = _spy_run_batch(monkeypatch)
+    engine = _build("fdp", "sync", 1, 8, engine_mode="soa")
+    engine.run(50)
+    status = engine.core_status
+    assert status["active"], status
+    assert status["reason"] == "scheduler not core-drivable: SynchronousScheduler"
+    assert not batches
+    engine.scheduler = ReplayScheduler([])
+    engine.run(50)
+    assert engine.core_status["reason"] is None
+    assert batches
+
+
+def _spy_run_batch(monkeypatch) -> list[int]:
+    """Record the budget of every ``EngineCore.run_batch`` call."""
+    calls: list[int] = []
+    real = EngineCore.run_batch
+
+    def spy(core, budget):
+        calls.append(budget)
+        return real(core, budget)
+
+    monkeypatch.setattr(EngineCore, "run_batch", spy)
+    return calls
+
+
 # ------------------------------------------------------------ chaos capsule
 
 #: Campaign-free scenario meta: a campaign would re-attach itself as a
 #: monitor on replay, which (correctly) drops the replay to the object
-#: loop — only a campaign-free capsule exercises the core's replay driver.
+#: loop — only a campaign-free capsule exercises the core's replay path.
 CAPSULE_META = {
     "scenario": "fdp",
     "n": 14,
@@ -343,7 +374,7 @@ CAPSULE_META = {
 }
 
 
-def test_capsule_replays_bit_identically_on_both_cores():
+def test_capsule_replays_bit_identically_on_both_cores(monkeypatch):
     """Capture a run as a capsule, replay it under every engine mode with
     verification on: ``replay_capsule`` raises on any counter divergence,
     and the full final states must match the original byte for byte. The
@@ -361,11 +392,16 @@ def test_capsule_replays_bit_identically_on_both_cores():
     assert len(capsule.schedule) == original.step_count
     want = final_state(original)
 
+    batches = _spy_run_batch(monkeypatch)
     for mode in MODES:
+        batches.clear()
         replayed = replay_capsule(capsule, verify=True, engine_mode=mode)
         assert final_state(replayed) == want, f"replay diverged under {mode}"
         if mode != "objects":
-            assert replayed.core_status["active"], replayed.core_status
+            status = replayed.core_status
+            assert status["active"] and status["reason"] is None, status
+        if mode == "soa":
+            assert batches, "the soa replay never ran on the core"
 
 
 def test_capsule_roundtrips_through_json_across_cores(tmp_path):

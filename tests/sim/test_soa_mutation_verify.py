@@ -3,9 +3,10 @@
 Each mutation here textually seeds a real mirror bug into a copy of
 ``src/repro/sim/soa.py`` — the core drops a counter flush, posts the
 wrong message label, skips the generation bump on departure, resets a
-recycled slot's generation, overlaps two packed-record fields, or
-registers a misspelt kernel — swaps the mutated ``EngineCore`` in, and
-asserts that the named oracle rejects it:
+recycled slot's generation, overlaps two packed-record fields,
+registers a misspelt kernel, or loses a send from the scheduler pool —
+swaps the mutated ``EngineCore`` in, and asserts that the named oracle
+rejects it:
 
 * ``verify`` — an engine under ``engine_mode="verify"`` raises on its
   first divergent step (or, for a broken registry, while building the
@@ -76,6 +77,12 @@ MUTATIONS = [
     (
         "batch_delivery_flush_dropped",
         "            self.deliveries += dcount\n",
+        "",
+        "soa_vs_objects",
+    ),
+    (
+        "send_pool_append_dropped",
+        "            self._pos[entry] = len(pool)\n            pool.append(entry)\n",
         "",
         "soa_vs_objects",
     ),
@@ -164,9 +171,8 @@ def _swap_in_mutated_core(tmp_path, monkeypatch, name, original, replacement):
     monkeypatch.delenv("REPRO_ENGINE_MODE", raising=False)
     mutated = _load_mutated_soa(tmp_path, name, original, replacement)
     # the engine imports these lazily from repro.sim.soa, so patching the
-    # module swaps the core in every mode; the driver must come from the
-    # same module, or run_batch misses its specialized batch loop
-    for attr in ("EngineCore", "CoreUnsupported", "make_driver"):
+    # module swaps the core in every mode
+    for attr in ("EngineCore", "CoreUnsupported"):
         monkeypatch.setattr(f"repro.sim.soa.{attr}", getattr(mutated, attr))
 
 
