@@ -57,7 +57,8 @@ class SingleOracle:
 
     def __call__(self, engine: Engine, pid: int) -> bool:
         # engine.partner_pids implements exactly this predicate's partner
-        # set: an O(deg) read of the live partner index.
+        # set: an O(deg) read of the core's or the live graph's partner
+        # index.
         return len(engine.partner_pids(pid)) <= 1
 
     def __repr__(self) -> str:

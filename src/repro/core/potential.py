@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.graphs.snapshot import Edge
-from repro.sim.states import Mode, PState
+from repro.sim.states import Mode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
@@ -75,43 +75,33 @@ def is_valid_state(engine: Engine) -> bool:
 # ---------------------------------------------------------------- legitimacy parts
 
 
-def _staying_pids(engine: Engine) -> frozenset[int]:
-    return frozenset(
-        pid for pid, p in engine.processes.items() if p.mode is Mode.STAYING
-    )
-
-
 def all_staying_awake(engine: Engine) -> bool:
     """Condition (i): every staying process is awake."""
-    return all(
-        p.state is PState.AWAKE
-        for p in engine.processes.values()
-        if p.mode is Mode.STAYING
-    )
+    return engine.lifecycle_clauses()[0]
 
 
 def all_leaving_gone(engine: Engine) -> bool:
     """FDP reading of condition (ii): every leaving process is gone."""
-    return all(
-        p.state is PState.GONE
-        for p in engine.processes.values()
-        if p.mode is Mode.LEAVING
-    )
+    return engine.lifecycle_clauses()[1]
 
 
 def all_leaving_hibernating(engine: Engine) -> bool:
     """FSP reading of condition (ii): every leaving process is hibernating
-    (gone also accepted, matching the general definition)."""
-    snap = engine.snapshot()
-    hibernating = snap.hibernating()
-    for pid, p in engine.processes.items():
-        if p.mode is not Mode.LEAVING:
-            continue
-        if p.state is PState.GONE:
-            continue
-        if pid not in hibernating:
-            return False
-    return True
+    (gone also accepted, matching the general definition).
+
+    Without sleepers nothing hibernates, so this is the FDP reading.
+    With sleepers it needs the hibernation fixpoint, a live-graph query.
+    """
+    if engine.lifecycle_clauses()[1]:
+        return True
+    if not engine.asleep_count:
+        return False
+    relevant = engine.relevant_pids()
+    return not any(
+        pid in relevant
+        for pid, p in engine.processes.items()
+        if p.mode is Mode.LEAVING
+    )
 
 
 def staying_connected_per_component(engine: Engine) -> bool:
@@ -126,28 +116,18 @@ def staying_connected_per_component(engine: Engine) -> bool:
     holding two staying processes' references together. Open-system
     runs extend each component with its mid-run admissions — a joiner
     attaches by edge to exactly one component, so paths through any
-    non-gone admitted process are legitimate (and exact: components
-    never merge, so an admitted bridge between *different* components
-    cannot exist). Use :func:`staying_connected_induced` for the
-    stricter variant.
+    non-gone admitted process are legitimate.
+
+    The check is :meth:`~repro.sim.engine.Engine.same_component` over
+    all of PG, which is exact: initial components never merge under
+    copy-store-send protocols, so a path between two members can never
+    leave their component and its admissions. Use
+    :func:`staying_connected_induced` for the stricter variant.
     """
-    snap = engine.snapshot()
-    staying = _staying_pids(engine)
-    admitted = (
-        frozenset(
-            pid
-            for pid, p in engine.processes.items()
-            if p.state is not PState.GONE
-        )
-        - engine.initial_pids
-    )
+    staying = engine.staying_pids()
     for comp in engine.initial_components:
-        members = frozenset(comp) & staying
-        if len(members) <= 1:
-            continue
-        if not snap.is_weakly_connected_within(
-            members, frozenset(comp) | admitted
-        ):
+        members = comp & staying
+        if len(members) > 1 and not engine.same_component(members):
             return False
     return True
 
@@ -158,7 +138,7 @@ def staying_connected_induced(engine: Engine) -> bool:
     (no paths through hibernating processes). Reported by the analysis
     layer so experiments can show how often the two readings differ."""
     snap = engine.snapshot()
-    staying = _staying_pids(engine)
+    staying = engine.staying_pids()
     sub = snap.filter_nodes(lambda n: n.pid in staying)
     for comp in engine.initial_components:
         members = frozenset(comp) & staying
@@ -192,10 +172,9 @@ def relevant_connected_per_component(engine: Engine) -> bool:
 
 def fdp_legitimate(engine: Engine) -> bool:
     """Legitimacy for the Finite Departure Problem: (i) ∧ (ii:gone) ∧ (iii)."""
+    staying_awake, leaving_gone = engine.lifecycle_clauses()
     return (
-        all_staying_awake(engine)
-        and all_leaving_gone(engine)
-        and staying_connected_per_component(engine)
+        staying_awake and leaving_gone and staying_connected_per_component(engine)
     )
 
 

@@ -502,8 +502,9 @@ class LiveGraph:
         return self._uf
 
     def same_component(self, members: Iterable[int]) -> bool:
-        """Whether *members* (non-gone pids) share one weakly connected
-        component of the full live graph.
+        """Whether *members* are all non-gone pids sharing one weakly
+        connected component of the full live graph (False if any is
+        gone or unknown).
 
         Exact for the Lemma 2 check on sleeper-free runs: under
         copy-store-send protocols initial components never merge, so a
@@ -511,14 +512,18 @@ class LiveGraph:
         with no sleepers every same-component node is itself a member.
         """
 
-        it = iter(members)
-        try:
-            first = next(it)
-        except StopIteration:
-            return True
-        uf = self._fresh_uf()
-        root = uf.find(first)
-        return all(uf.find(pid) == root for pid in it)
+        pstate = self._pstate
+        uf: UnionFind | None = None
+        root: int | None = None
+        for pid in members:
+            if pstate.get(pid, PState.GONE) is PState.GONE:
+                return False
+            if uf is None:
+                uf = self._fresh_uf()
+                root = uf.find(pid)
+            elif uf.find(pid) != root:
+                return False
+        return True
 
     def n_components(self) -> int:
         """Number of weakly connected components among non-gone processes."""

@@ -49,6 +49,16 @@ refs) and exports the final state back into the object model;
 :class:`~repro.errors.StateViolation` on any divergence — the
 differential oracle. Verify mode also cross-checks each action's
 write-through ref log against a before/after fingerprint diff.
+
+The read methods above form one query facade (:meth:`Engine._checked`):
+``potential()``, ``edge_count``, ``pending_count``, ``describe()``,
+``progress_diagnostics()``, ``partners()``/``partner_pids()``,
+``same_component()``, ``lifecycle_clauses()`` and ``staying_pids()``.
+While the soa core holds the current state it answers them in the int
+domain; otherwise the live graph (or the object model) does. Verify mode
+answers from the live graph and cross-checks the core's answer. In soa
+mode the ``processes``/``channels`` properties complete any export the
+core deferred at a predicate boundary, so object readers stay exact.
 """
 
 from __future__ import annotations
@@ -251,14 +261,14 @@ class Engine:
         require_staying_per_component: bool = True,
         engine_mode: str | None = None,
     ) -> None:
-        self.processes: dict[int, Process] = {}
+        self._processes: dict[int, Process] = {}
         for proc in processes:
             _check_pid(proc.pid)
-            if proc.pid in self.processes:
+            if proc.pid in self._processes:
                 raise ConfigurationError(f"duplicate pid {proc.pid}")
-            self.processes[proc.pid] = proc
-        self.channels: dict[int, Channel] = {
-            pid: Channel() for pid in self.processes
+            self._processes[proc.pid] = proc
+        self._channels: dict[int, Channel] = {
+            pid: Channel() for pid in self._processes
         }
         self.scheduler: Scheduler = (
             scheduler if scheduler is not None else RandomScheduler(seed)
@@ -305,6 +315,10 @@ class Engine:
         #: reason kept for ``core_status``.
         self._core: Any | None = None
         self._core_stale = False
+        #: True while the core is ahead of the process stores and
+        #: channels: a soa predicate boundary exported only the counters.
+        #: The ``processes``/``channels`` properties finish the export.
+        self._export_pending = False
         self._core_reason: str | None = (
             None if engine_mode != "objects" else "engine_mode=objects"
         )
@@ -376,6 +390,8 @@ class Engine:
         # lifecycle counters stale (recounted on next read, never on the
         # step path). Engine-internal code paths — whose mutations the
         # live graph *does* observe as deltas — set ``_stale`` instead.
+        if value:
+            self._complete_export()
         self._stale = bool(value)
         if value:
             self._lifecycle_stale = True
@@ -383,6 +399,37 @@ class Engine:
                 self._live_stale = True
             if self._core is not None:
                 self._core_stale = True
+
+    @property
+    def processes(self) -> dict[int, Process]:
+        """pid → process, for every process in the system (gone ones
+        included, reaped ones not).
+
+        Reading it completes any export the struct-of-arrays core has
+        deferred, so callers always see the exact current state. The
+        engine's own step loop reads the private dict instead.
+        """
+        if self._export_pending:
+            self._complete_export()
+        return self._processes
+
+    @property
+    def channels(self) -> dict[int, Channel]:
+        """pid → channel, completing any deferred core export first
+        (see :attr:`processes`)."""
+        if self._export_pending:
+            self._complete_export()
+        return self._channels
+
+    def _complete_export(self) -> None:
+        """Finish a deferred core export: process stores and channels.
+
+        Every path that reads the objects, drops or rebuilds the core,
+        or falls back to the object loop goes through here first.
+        """
+        if self._export_pending:
+            self._export_pending = False
+            self._core.export_to(self)
 
     @property
     def engine_mode(self) -> str:
@@ -441,7 +488,8 @@ class Engine:
         The payload :meth:`run` attaches to a budget-exhaustion
         :class:`~repro.errors.ConvergenceError`: current Φ, pending
         messages, gone/asleep counts and the last-progress step. All O(1)
-        live-graph and counter reads.
+        counter reads, from the core or the live graph (see
+        :meth:`_checked`).
         """
         return {
             "step": self.step_count,
@@ -457,19 +505,69 @@ class Engine:
     def edge_count(self) -> int:
         """Number of edges in PG (parallel copies and self-loops counted).
 
-        O(1) — a live-counter read. This is the sanctioned way for probes
-        and monitors to observe the edge count: reading it never
+        O(1) — a counter read from the core or the live graph (see
+        :meth:`_checked`). This is the sanctioned way for probes and
+        monitors to observe the edge count: reading it never
         materializes a snapshot.
         """
-        return self._ensure_live().edge_total
+        core = self._query_core()
+        if core is None:
+            return self._ensure_live().edge_total
+        if self._engine_mode == "soa":
+            return core.edge_total
+        return self._checked("edge_count", core.edge_total, self._ensure_live().edge_total)
 
     @property
     def pending_count(self) -> int:
         """Messages pending across all channels (gone pids included).
 
-        O(1) — a live-counter read; no snapshot is built.
+        O(1) — a counter read from the core or the live graph; no
+        snapshot is built.
         """
-        return self._ensure_live().pending_total
+        core = self._query_core()
+        if core is None:
+            return self._ensure_live().pending_total
+        if self._engine_mode == "soa":
+            return core.pending_count()
+        return self._checked(
+            "pending_count", core.pending_count(), self._ensure_live().pending_total
+        )
+
+    def _query_core(self) -> Any | None:
+        """The core, if it holds exactly the engine's current state.
+
+        It does not while it is stale, while an action is half applied
+        (an oracle consulted mid-step), or while verify mode has not yet
+        mirrored the step the object loop just took (a monitor's read).
+        """
+        core = self._core
+        if (
+            core is None
+            or self._core_stale
+            or self._stepping
+            or core.steps != self.step_count
+        ):
+            return None
+        return core
+
+    def _checked(self, name: str, expected: Any, answer: Any) -> Any:
+        """Verify mode's cross-check of one facade query: *answer* (from
+        the live graph or the objects) must equal the core's *expected*.
+
+        Every read method of the query facade follows one pattern. In
+        soa mode a core that holds the current state (:meth:`_query_core`)
+        answers in the int domain, so no live-graph rebuild and no object
+        export happens just to answer a question. Otherwise the live
+        graph (or the object model) answers. Verify mode always answers
+        from the live graph and, while the core is current, recomputes
+        the answer on the core and calls this.
+        """
+        if expected != answer:
+            raise StateViolation(
+                f"core query {name} diverged from the live graph at step "
+                f"{self.step_count}: core={expected!r} live={answer!r}"
+            )
+        return answer
 
     def _recount_lifecycle(self) -> None:
         """Recount the lifecycle tallies in one pass over the population.
@@ -571,20 +669,25 @@ class Engine:
         semantics, so planted initial states are expressible unchanged.
         """
 
+        if self._export_pending:
+            # An out-of-band post from a soa predicate: the target
+            # channel must be current before it grows.
+            self._complete_export()
+        processes = self._processes
         tpid = pid_of(target)
-        if tpid not in self.processes:
+        if tpid not in processes:
             raise ConfigurationError(f"message targets unknown process {tpid}")
         for ref in iter_refs(args):
-            if pid_of(ref) not in self.processes:
+            if pid_of(ref) not in processes:
                 raise ConfigurationError(
                     f"message parameter references unknown process {pid_of(ref)}"
                 )
-        if sender is not None and self.processes[tpid].state is PState.GONE:
+        if sender is not None and processes[tpid].state is PState.GONE:
             return self._bounce(sender, tpid, args)
         seq = self._msg_seq
         self._msg_seq = seq + 1
         msg = Message(label, tuple(args), seq, sender)
-        self.channels[tpid].add(msg)
+        self._channels[tpid].add(msg)
         if self.provenance is not None:
             self.provenance.on_post(msg, tpid, self.step_count)
         stats = self.stats
@@ -605,7 +708,7 @@ class Engine:
             # Out-of-band post (fault injection, tests planting messages
             # mid-run): the mirror core did not see it — rebuild lazily.
             self._core_stale = True
-        if self._attached and self.processes[tpid].state is not PState.GONE:
+        if self._attached and processes[tpid].state is not PState.GONE:
             if self.net is not None and sender is not None:
                 # Protocol send over the unreliable underlay: the message
                 # is already parked in the channel (refs conserved); the
@@ -656,8 +759,8 @@ class Engine:
         if not third:
             self.stats.dropped_gone += 1
             return None
-        sref = self.processes[sender].self_ref
-        tref = self.processes[tpid].self_ref
+        sref = self._processes[sender].self_ref
+        tref = self._processes[tpid].self_ref
         self.post(None, sref, "present", (RefInfo(tref, Mode.LEAVING),))
         for info in third:
             self.post(None, sref, "forward", (RefInfo(info.ref, info.mode),))
@@ -674,6 +777,10 @@ class Engine:
             raise StateViolation(f"illegal transition {old.value} → {new_state.value}")
         proc._state = new_state  # noqa: SLF001 - engine owns lifecycle
         self._stale = True
+        if self._core is not None and not self._stepping:
+            # An out-of-band transition (a test or tool driving the
+            # lifecycle directly): the core did not make it.
+            self._core_stale = True
         self._last_progress_step = self.step_count
         if old is PState.ASLEEP:
             self._asleep_count -= 1
@@ -684,7 +791,7 @@ class Engine:
                 self.provenance.on_exit(proc.pid, self.step_count)
             if self._attached:
                 self.scheduler.notify_gone(
-                    proc.pid, list(self.channels[proc.pid].seqs())
+                    proc.pid, list(self._channels[proc.pid].seqs())
                 )
             if self.net is not None:
                 # Frames in flight to a departed process will never be
@@ -946,6 +1053,7 @@ class Engine:
         """
         from repro.sim.soa import CoreUnsupported, EngineCore
 
+        self._complete_export()
         self._core_stale = False
         try:
             self._core = EngineCore(self)
@@ -988,6 +1096,8 @@ class Engine:
         if self._core is not None:
             # soa mode stepped one-at-a-time runs on the object loop;
             # the core re-syncs from the object state at the next run().
+            if self._export_pending:
+                self._complete_export()
             self._core_stale = True
         return self._step_objects()
 
@@ -1156,7 +1266,7 @@ class Engine:
         log.pending.clear()
 
     def _run_timeout(self, pid: int) -> ExecutedStep:
-        proc = self.processes[pid]
+        proc = self._processes[pid]
         if proc.state is not PState.AWAKE:  # pragma: no cover - scheduler contract
             raise StateViolation(f"timeout selected for non-awake process {pid}")
         before = self._pre_action(proc)
@@ -1181,10 +1291,10 @@ class Engine:
         return ExecutedStep(self.step_count, "timeout", pid, None, None, proc.state)
 
     def _run_delivery(self, pid: int, seq: int) -> ExecutedStep:
-        proc = self.processes[pid]
+        proc = self._processes[pid]
         if proc.state is PState.GONE:  # pragma: no cover - scheduler contract
             raise StateViolation(f"delivery selected for gone process {pid}")
-        msg = self.channels[pid].remove(seq)
+        msg = self._channels[pid].remove(seq)
         self._stale = True
         prov = self.provenance
         if prov is not None:
@@ -1240,10 +1350,13 @@ class Engine:
 
         In ``engine_mode="soa"`` eligible runs (no monitors/tracer/
         provenance/auditors, core-drivable scheduler) execute in batches
-        on the struct-of-arrays core, exporting back into the object
-        model at every predicate boundary and at the end; anything else
-        falls back to the object loop. In ``"verify"`` mode the whole
-        run additionally ends with a deep state cross-check.
+        on the struct-of-arrays core; anything else falls back to the
+        object loop. At a predicate boundary only the counters are
+        exported, and the core answers the predicate's graph queries;
+        the process stores and channels are exported when the predicate
+        first reads an object. Either way the run returns with the
+        object model fully exported. In ``"verify"`` mode the whole run
+        additionally ends with a deep state cross-check.
         """
 
         if not self._attached:
@@ -1351,19 +1464,23 @@ class Engine:
         """Batched run on the struct-of-arrays core.
 
         The core executes up to ``check_every`` steps per batch without
-        touching the object model; at each predicate boundary (and at
-        quiescence / budget end) :meth:`~repro.sim.soa.EngineCore.export_to`
-        copies the full state back so *until* and all observation APIs see
-        exactly what the object loop would have produced. A predicate that
-        mutates engine state out-of-band marks the core stale, and the
-        remainder of the budget finishes on the object loop.
+        touching the object model. At each predicate boundary (and at
+        quiescence / budget end) only the counters are written back
+        (:meth:`~repro.sim.soa.EngineCore.export_counters`); *until*
+        reads graph answers from the core through the query facade, and
+        the first object read completes the export
+        (:meth:`~repro.sim.soa.EngineCore.export_to`), so the predicate
+        sees exactly what the object loop would have produced. The run
+        returns fully exported. A predicate that mutates engine state
+        out-of-band marks the core stale (or drops it), and the rest of
+        the budget finishes on the object loop.
         """
         core.drive(self.scheduler)
         try:
             if until is not None:
                 if until(self):
                     return True
-                if self._core_stale:
+                if self._core is not core or self._core_stale:
                     return self._run_objects(
                         max_steps,
                         until=until,
@@ -1379,22 +1496,23 @@ class Engine:
                 executed = core.run_batch(batch)
                 i += executed
                 if executed < batch:  # quiescent: state can no longer change
-                    core.export_to(self)
+                    self._defer_export(core)
                     return until(self) if until is not None else False
                 if until is not None and i % check_every == 0:
-                    core.export_to(self)
+                    self._defer_export(core)
                     if until(self):
                         return True
-                    if self._core_stale:
+                    if self._core is not core or self._core_stale:
                         # The predicate poked engine state; the core no
                         # longer mirrors it. Finish on the object loop.
+                        self._complete_export()
                         return self._run_objects(
                             max_steps - i,
                             until=until,
                             check_every=check_every,
                             raise_on_budget=raise_on_budget,
                         )
-            core.export_to(self)
+            self._defer_export(core)
             if until is not None and max_steps % check_every != 0 and until(self):
                 return True
             if raise_on_budget:
@@ -1406,6 +1524,12 @@ class Engine:
             return False
         finally:
             core.drive(None)
+            self._complete_export()
+
+    def _defer_export(self, core: Any) -> None:
+        """Export the core's counters now and its objects on demand."""
+        core.export_counters(self)
+        self._export_pending = True
 
     def verify_core_state(self) -> bool:
         """Deep cross-check of the struct-of-arrays core against the
@@ -1476,22 +1600,96 @@ class Engine:
 
     # ------------------------------------------------------------------ oracles & Φ
 
+    def partners(self, pid: int) -> set[int]:
+        """Non-gone processes (≠ *pid*) having an edge with *pid*, in
+        either direction. Empty for a gone, reaped or unknown pid.
+
+        O(deg): the core's in-edge index plus *pid*'s own stores, or the
+        live partner index (see :meth:`_checked`).
+        """
+        core = self._query_core()
+        if core is None:
+            return self._ensure_live().partners(pid)
+        slot = core.slot_of.get(pid)
+        found = set() if slot is None else core.partners(slot)
+        if self._engine_mode == "soa":
+            return found
+        return self._checked("partners", found, self._ensure_live().partners(pid))
+
     def partner_pids(self, pid: int) -> set[int]:
         """Relevant processes (≠ *pid*) having an edge with *pid*, in either
         direction — the quantity the SINGLE oracle is defined over.
 
-        Reads the live partner index: O(deg). With sleepers present
-        (an O(1) counter test) the set is narrowed to the relevant
-        processes, since SINGLE quantifies over those only.
+        :meth:`partners`, from the core or the live graph: O(deg). With
+        sleepers present (an O(1) counter test) the set is narrowed to
+        the relevant processes, since SINGLE quantifies over those only;
+        hibernation is a live-graph query.
         """
 
-        if self.processes[pid].state is PState.GONE:
-            return set()
-        live = self._ensure_live()
-        partners = live.partners(pid)
-        if self.asleep_count:
-            partners &= live.relevant()
+        partners = self.partners(pid)
+        if partners and self.asleep_count:
+            partners &= self.relevant_pids()
         return partners
+
+    def same_component(self, pids: Iterable[int]) -> bool:
+        """Whether every pid in *pids* names a non-gone process and all
+        of them lie in one weakly connected component of PG (paths
+        through any non-gone process count, asleep ones included).
+
+        Answered by the core's component labelling (computed at most
+        once per boundary) or by the live union-find (see
+        :meth:`_checked`).
+        """
+        core = self._query_core()
+        if core is None:
+            return self._ensure_live().same_component(pids)
+        members = list(pids)
+        slots = [core.slot_of.get(pid) for pid in members]
+        connected = None not in slots and core.same_component(slots)
+        if self._engine_mode == "soa":
+            return connected
+        return self._checked(
+            "same_component", connected, self._ensure_live().same_component(members)
+        )
+
+    def lifecycle_clauses(self) -> tuple[bool, bool]:
+        """Legitimacy conditions (i) and (ii) in their FDP reading:
+        (every staying process is awake, every leaving process is gone).
+
+        One pass over the core's lifecycle columns, or over the process
+        objects (see :meth:`_checked`).
+        """
+        core = self._query_core()
+        if core is not None and self._engine_mode == "soa":
+            return core.lifecycle_clauses()
+        staying_awake = leaving_gone = True
+        for proc in self.processes.values():
+            if proc.mode is Mode.LEAVING:
+                if proc.state is not PState.GONE:
+                    leaving_gone = False
+            elif proc.state is not PState.AWAKE:
+                staying_awake = False
+        if core is None:
+            return staying_awake, leaving_gone
+        return self._checked(
+            "lifecycle_clauses",
+            core.lifecycle_clauses(),
+            (staying_awake, leaving_gone),
+        )
+
+    def staying_pids(self) -> frozenset[int]:
+        """Pids of the staying processes that are not gone."""
+        core = self._query_core()
+        if core is not None and self._engine_mode == "soa":
+            return core.staying_pids()
+        staying = frozenset(
+            pid
+            for pid, proc in self.processes.items()
+            if proc.mode is Mode.STAYING and proc.state is not PState.GONE
+        )
+        if core is None:
+            return staying
+        return self._checked("staying_pids", core.staying_pids(), staying)
 
     def oracle_value(self, pid: int) -> bool:
         """Evaluate the configured oracle for process *pid*."""
@@ -1509,10 +1707,16 @@ class Engine:
         """The potential Φ of Lemma 3: number of (explicit or implicit)
         edges ``(x, y)`` whose attached belief differs from ``mode(y)``.
 
-        O(1) — a running live-graph counter bucketed by target pid.
+        O(1) — the core's running counter, or the live graph's, bucketed
+        by target pid (see :meth:`_checked`).
         """
 
-        return self._ensure_live().phi
+        core = self._query_core()
+        if core is None:
+            return self._ensure_live().phi
+        if self._engine_mode == "soa":
+            return core.phi
+        return self._checked("potential", core.phi, self._ensure_live().phi)
 
     def relevant_pids(self) -> frozenset[int]:
         """Pids of relevant (non-gone, non-hibernating) processes."""
@@ -1523,7 +1727,7 @@ class Engine:
         component of the relevant process graph — the per-initial-
         component invariant of Lemma 2, served without a snapshot.
 
-        Sleeper-free runs answer via the epoch union-find
+        Sleeper-free runs answer via :meth:`same_component`
         (exact: components never merge under copy-store-send protocols,
         so every path between members stays inside their component).
         With sleepers present the induced check runs directly on the
@@ -1537,10 +1741,10 @@ class Engine:
 
         if len(members) <= 1:
             return True
+        if self.asleep_count == 0:
+            return self.same_component(members)
         admitted = frozenset(self.processes) - self.initial_pids
         live = self._ensure_live()
-        if self.asleep_count == 0:
-            return live.same_component(members)
         via = (live.relevant() & admitted) if admitted else frozenset()
         return live.induced_connected(members, via=via)
 
@@ -1558,27 +1762,24 @@ class Engine:
         """Diagnostic summary of the current system state.
 
         Cheap enough for hot loops: ``edges``,
-        ``pending_messages`` and ``potential`` come straight from the
-        live counters and the lifecycle tallies are O(1), so no snapshot
-        is built.
+        ``pending_messages`` and ``potential`` are counter reads through
+        the query facade and the lifecycle tallies are O(1), so no
+        snapshot is built and no deferred core export is forced.
         """
 
-        live = self._ensure_live()
-        # Lifecycle tallies come from the maintained counters —
-        # describe() never scans the population.
-        gone = self.gone_count
-        asleep = self.asleep_count
         return {
             "step": self.step_count,
             # Current population — under open-system churn this is not a
             # constant: admissions grow it and reaps shrink it.
-            "processes": len(self.processes),
+            "processes": len(self._processes),
             "admitted": self.admitted_count,
             "reaped": self.reaped_count,
-            "gone": gone,
-            "asleep": asleep,
-            "edges": live.edge_total,
-            "pending_messages": live.pending_total,
-            "potential": live.phi,
+            # Lifecycle tallies come from the maintained counters —
+            # describe() never scans the population.
+            "gone": self.gone_count,
+            "asleep": self.asleep_count,
+            "edges": self.edge_count,
+            "pending_messages": self.pending_count,
+            "potential": self.potential(),
             "stats": self.stats.as_dict(),
         }

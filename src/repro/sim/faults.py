@@ -72,19 +72,6 @@ def plant_ref_message(
     )
 
 
-def _same_component(engine: Engine, a: int, b: int) -> bool:
-    """Whether *a* and *b* (non-gone) share a weak component right now.
-
-    The full-graph component query (paths through asleep processes
-    count — raw connectivity is what leak detection is about, not
-    Lemma 2's relevance-restricted invariant), answered by the live
-    union-find.
-    """
-    if a == b:
-        return True
-    return engine.live_graph.same_component((a, b))
-
-
 def scatter_garbage_messages(
     engine: Engine,
     rng: Random,
@@ -131,7 +118,10 @@ def scatter_garbage_messages(
                         f"garbage injection references gone process {pid}; "
                         "an admissible adversary cannot revive departed refs"
                     )
-            if not _same_component(engine, tpid, spid):
+            # Raw connectivity (paths through asleep processes count) is
+            # what leak detection is about, not Lemma 2's relevance-
+            # restricted invariant.
+            if not engine.same_component((tpid, spid)):
                 raise ConfigurationError(
                     f"garbage message would leak a reference across weak "
                     f"components: target {tpid} and subject {spid} are not "

@@ -29,12 +29,22 @@ The core runs in two roles selected by ``Engine(engine_mode=...)``:
   cross-checks the engine's write-through ref log against a
   fingerprint diff after every action.
 * ``soa`` — the core *drives* (:meth:`run_batch`): it selects events
-  from the engine's own scheduler (:meth:`drive`), executes kernels,
-  and the engine exports the final state back into the object model
-  (:meth:`export_to`) at predicate boundaries and run end. The
-  scheduler has one state only: the core samples and appends to a
-  :class:`~repro.sim.scheduler.RandomScheduler`'s packed-int pool in
-  place, and notifies any other scheduler through its public hooks.
+  from the engine's own scheduler (:meth:`drive`) and executes kernels.
+  At a predicate boundary the engine copies back only the counters
+  (:meth:`export_counters`); the process stores and channels follow
+  (:meth:`export_to`) when something first reads an object, and at
+  run end. The scheduler has one state only: the core samples and
+  appends to a :class:`~repro.sim.scheduler.RandomScheduler`'s
+  packed-int pool in place, and notifies any other scheduler through
+  its public hooks.
+
+While the core holds the current state it also answers the engine's
+graph queries in the int domain (:meth:`partners`,
+:meth:`same_component`, :meth:`lifecycle_clauses`,
+:meth:`staying_pids`, :meth:`pending_count`, and the Φ and edge
+counters), so neither the live graph nor the object model is rebuilt
+just to answer a question. Hibernation (which needs sleepers' channel
+and reachability fixpoint) stays a live-graph query.
 
 Eligibility is checked at construction: homogeneous exact-type
 FDP/FSP populations, a kernelizable oracle (``None``/SINGLE/ALWAYS/
@@ -258,6 +268,7 @@ class EngineCore:
         "sched",
         "_pool",
         "_pos",
+        "_labels",
     )
 
     def __init__(self, engine: Engine) -> None:
@@ -468,6 +479,9 @@ class EngineCore:
         self.sched: Scheduler | None = None
         self._pool: list[int] | None = None
         self._pos: dict[int, int] | None = None
+        #: weak-component label per slot, computed on the first
+        #: connectivity query after a change (see :meth:`_component_labels`).
+        self._labels: list[int] | None = None
 
     def _by_list(self, by: dict[int, int], n: int, name: str) -> list[int]:
         arr = [0] * n
@@ -762,6 +776,7 @@ class EngineCore:
                 f"process {pid} (slot {u}) is still referenced; cannot reap"
             )
         self._pin_holdings(u, -1)
+        self._labels = None
         self._pending0 -= len(self.ch[u])
         archived = self.archived_stats
         for name, arr in (
@@ -877,6 +892,7 @@ class EngineCore:
             self.sent_by.append(0)
             self.received_by.append(0)
         slot_of[pid] = u
+        self._labels = None
         self.mode_[u] = _LEAVING if proc.mode is Mode.LEAVING else _STAYING
         self.state_[u] = _AWAKE
         nd = self.N[u]
@@ -938,6 +954,106 @@ class EngineCore:
                     return False
                 first = q
         return True
+
+    # ------------------------------------------------------------------ queries
+
+    def partners(self, u: int) -> set[int]:
+        """Pids of the non-gone processes (other than slot *u*'s) that
+        share an edge with *u* in either direction: the ``in_`` index
+        plus *u*'s own stores (N, anchor, parked, channel subjects).
+        A gone slot has no edges, so no partners."""
+        state_ = self.state_
+        if state_[u] == _GONE:
+            return set()
+        slots = set(self.in_[u])
+        slots.update(self.N[u])
+        a = self.anchor_[u]
+        if a >= 0:
+            slots.add(a)
+        if self.is_fsp:
+            slots.update(self.parked[u])
+        for rec in self.ch[u].values():
+            slots.add(((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1)
+        pids = self.pids
+        return {
+            pids[q] for q in slots if q >= 0 and q != u and state_[q] != _GONE
+        }
+
+    def _component_labels(self) -> list[int]:
+        """Weak-component label of every slot, by union-find over the
+        ``in_`` index (every edge of PG is some ``in_[v][u]`` entry with
+        a non-gone source *u*). Gone slots keep singleton labels.
+
+        Computed lazily: anything that can change PG (a batch, a
+        mirrored step, an admit, a reap) drops the cache, so a churn
+        boundary pays at most one O(V + distinct pairs) labelling for
+        all the connectivity queries it issues.
+        """
+        labels = self._labels
+        if labels is not None:
+            return labels
+        state_ = self.state_
+        parent = list(range(len(self.pids)))
+        for v, inn in enumerate(self.in_):
+            if not inn or state_[v] == _GONE:
+                continue
+            root = v
+            while parent[root] != root:
+                parent[root] = parent[parent[root]]
+                root = parent[root]
+            for u in inn:
+                while parent[u] != u:
+                    parent[u] = parent[parent[u]]
+                    u = parent[u]
+                if u != root:
+                    parent[u] = root
+        for i, p in enumerate(parent):
+            while parent[p] != p:
+                p = parent[p]
+            parent[i] = p
+        self._labels = parent
+        return parent
+
+    def same_component(self, slots: list[int]) -> bool:
+        """Whether every slot in *slots* is non-gone and all of them lie
+        in one weakly connected component of PG (paths through any
+        non-gone process, asleep ones included)."""
+        if not slots:
+            return True
+        state_ = self.state_
+        if any(state_[u] == _GONE for u in slots):
+            return False
+        labels = self._component_labels()
+        root = labels[slots[0]]
+        return all(labels[u] == root for u in slots)
+
+    def lifecycle_clauses(self) -> tuple[bool, bool]:
+        """Legitimacy conditions (i) and (ii) in their FDP reading, from
+        the lifecycle columns: every staying process is awake, every
+        leaving process is gone."""
+        staying_awake = leaving_gone = True
+        for pid, mode, state in zip(self.pids, self.mode_, self.state_, strict=True):
+            if pid is None:
+                continue
+            if mode == _LEAVING:
+                if state != _GONE:
+                    leaving_gone = False
+            elif state != _AWAKE:
+                staying_awake = False
+        return staying_awake, leaving_gone
+
+    def staying_pids(self) -> frozenset[int]:
+        """Pids of the staying processes that are not gone."""
+        return frozenset(
+            pid
+            for pid, mode, state in zip(self.pids, self.mode_, self.state_, strict=True)
+            if pid is not None and mode == _STAYING and state != _GONE
+        )
+
+    def pending_count(self) -> int:
+        """Messages pending across all channels (gone slots included)."""
+        self._sync_flow()
+        return self.pending
 
     def _consult_oracle(self, u: int) -> bool:
         if self.is_fsp:
@@ -1345,6 +1461,7 @@ class EngineCore:
         sched = self.sched
         if sched is None:
             raise ConfigurationError("run_batch requires a scheduler; call drive()")
+        self._labels = None
         if self._pool is not None:
             return self._run_batch_random(sched, budget)
         replay = isinstance(sched, ReplayScheduler)
@@ -1498,6 +1615,7 @@ class EngineCore:
         u = self.slot_of[executed.pid]
         pre_state = self.state_[u]
         pre_gen = self.gen_[u]
+        self._labels = None
         if executed.kind == "timeout":
             self._run_timeout(u)
         else:
@@ -1701,26 +1819,71 @@ class EngineCore:
 
     # ------------------------------------------------------------------ export (soa)
 
-    def export_to(self, engine: Engine) -> None:
-        """Write the core's state back into the object model.
+    def export_counters(self, engine: Engine) -> None:
+        """Write the core's counters back into the engine: the run
+        statistics (per-pid tallies included), step count, clocks,
+        lifecycle counts and progress marks.
 
-        Rebuilds processes' tracked stores, channels and counters so the
-        engine continues (predicates, analysis, further object-path
-        steps) as if the object loop had executed every event itself.
+        This is the cheap part of an export, done at every predicate
+        boundary. The live view is disarmed, since the process stores
+        and channels it was fed from are now behind the core; the next
+        object read completes the export (:meth:`export_to`).
         """
         self._sync_flow()
-        # Disarm the live view first: the rebuilt channels bypass the
-        # observers, so the next read must trigger a full rebuild.
         engine._live_stale = True  # noqa: SLF001
         engine._stale = True  # noqa: SLF001
         engine._snapshot_cache = None  # noqa: SLF001
-        procs = [
-            engine.processes[pid] if pid is not None else None for pid in self.pids
-        ]
+        stats = engine.stats
+        stats.steps = self.stat_steps
+        stats.timeouts = self.timeouts
+        stats.deliveries = self.deliveries
+        stats.messages_posted = self.posted
+        stats.dropped_unknown = self.dropped
+        stats.dropped_gone = self.dropped_gone
+        stats.bounced = self.bounced
+        stats.exits = self.exits
+        stats.sleeps = self.sleeps
+        stats.wakes = self.wakes
+        stats.oracle_queries = self.oq
+        stats.oracle_true = self.otrue
+        pids = self.pids
+        for name, arr in (
+            ("timeouts_by", self.timeouts_by),
+            ("deliveries_by", self.deliveries_by),
+            ("sent_by", self.sent_by),
+            ("received_by", self.received_by),
+        ):
+            d = dict(self.archived_stats[name])
+            for i, c in enumerate(arr):
+                if c and pids[i] is not None:
+                    d[pids[i]] = c
+            setattr(stats, name, d)
+        engine.step_count = self.steps
+        engine._clock = self.clock  # noqa: SLF001
+        engine._msg_seq = self.next_seq  # noqa: SLF001
+        engine._asleep_count = self.asleep  # noqa: SLF001
+        engine._gone_count = self.gone  # noqa: SLF001
+        engine._lifecycle_stale = False  # noqa: SLF001
+        engine._last_progress_step = self.last_progress  # noqa: SLF001
+        engine._last_phi_seen = self.last_phi_seen  # noqa: SLF001
+
+    def export_to(self, engine: Engine) -> None:
+        """Write the core's whole state back into the object model.
+
+        The counters (:meth:`export_counters`), then every process's
+        lifecycle state, tracked stores and channel, so the engine
+        continues (predicates, analysis, further object-path steps) as
+        if the object loop had executed every event itself.
+        """
+        self.export_counters(engine)
+        processes = engine._processes  # noqa: SLF001
+        channels = engine._channels  # noqa: SLF001
+        procs = [processes[pid] if pid is not None else None for pid in self.pids]
         # Reaped slots leave a None hole; nothing live can reference one
         # (reap requires zero in-edges and zero dead pins), so refs[v] is
         # never dereferenced for a hole.
         refs = [p.self_ref if p is not None else None for p in procs]
+        labels = self.labels
         for i, proc in enumerate(procs):
             if proc is None:
                 continue
@@ -1744,9 +1907,7 @@ class EngineCore:
                 proc.anchor_verified = bool(self.averified_[i])
                 proc.anchor_probe_sent = bool(self.aprobe_[i])
             proc._ref_log.pending.clear()  # noqa: SLF001
-            chan = engine.channels[self.pids[i]]
             msgs: dict[int, Message] = {}
-            labels = self.labels
             for seq, rec in self.ch[i].items():
                 subj = ((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1
                 spid = (rec >> _SENDER_SHIFT) - 1
@@ -1758,40 +1919,7 @@ class EngineCore:
                 else:
                     args = ()
                 msgs[seq] = Message(labels[rec & _LABEL_MASK], args, seq, sender)
-            chan._messages = msgs  # noqa: SLF001
-        stats = engine.stats
-        stats.steps = self.stat_steps
-        stats.timeouts = self.timeouts
-        stats.deliveries = self.deliveries
-        stats.messages_posted = self.posted
-        stats.dropped_unknown = self.dropped
-        stats.dropped_gone = self.dropped_gone
-        stats.bounced = self.bounced
-        stats.exits = self.exits
-        stats.sleeps = self.sleeps
-        stats.wakes = self.wakes
-        stats.oracle_queries = self.oq
-        stats.oracle_true = self.otrue
-        for name, arr in (
-            ("timeouts_by", self.timeouts_by),
-            ("deliveries_by", self.deliveries_by),
-            ("sent_by", self.sent_by),
-            ("received_by", self.received_by),
-        ):
-            d = dict(self.archived_stats[name])
-            for i, c in enumerate(arr):
-                if c and self.pids[i] is not None:
-                    d[self.pids[i]] = c
-            setattr(stats, name, d)
-        engine.step_count = self.steps
-        engine._clock = self.clock  # noqa: SLF001
-        engine._msg_seq = self.next_seq  # noqa: SLF001
-        engine._asleep_count = self.asleep  # noqa: SLF001
-        engine._gone_count = self.gone  # noqa: SLF001
-        engine._lifecycle_stale = False  # noqa: SLF001
-        engine._last_progress_step = self.last_progress  # noqa: SLF001
-        engine._last_phi_seen = self.last_phi_seen  # noqa: SLF001
+            channels[self.pids[i]]._messages = msgs  # noqa: SLF001
         # The engine now matches the core exactly — the export itself is
         # not a reason to rebuild the core on the next run.
         engine._core_stale = False  # noqa: SLF001
-

@@ -27,10 +27,13 @@ same invariant. The driver therefore never flips the *last* staying
 member of an initial component to leaving; processes admitted mid-run
 are always free to leave.
 
-Requests are observation-only reads of the live graph (never engine
-mutations), so traffic leaves schedule replay untouched. The driver writes its own boundary-level
-JSONL trace — hooking a per-step tracer would disqualify the run from
-the struct-of-arrays fast path.
+Requests are observation-only reads through the engine's query facade
+(``Engine.same_component`` and ``Engine.partners``; never engine
+mutations), so traffic leaves schedule replay untouched. On the
+struct-of-arrays core the core answers them in the int domain; on the
+object loop the live graph does. The driver writes its own
+boundary-level JSONL trace — hooking a per-step tracer would disqualify
+the run from the struct-of-arrays fast path.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from heapq import heappop, heappush
 from random import Random
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StateViolation
 from repro.sim.refs import Ref
 from repro.sim.states import Mode, PState
 from repro.traffic.arrivals import ArrivalConfig, sample_poisson, sample_session
@@ -225,11 +228,13 @@ class TrafficDriver:
     # ------------------------------------------------------------------ requests
 
     def _hops(self, src: int, dst: int) -> int:
-        """PG hop distance via BFS over the live partner index."""
+        """PG hop distance via BFS over the engine's partner query, for
+        a pair :meth:`~repro.sim.engine.Engine.same_component` reported
+        connected."""
 
         if src == dst:
             return 0
-        live = self.engine.live_graph
+        partners = self.engine.partners
         seen = {src}
         frontier = [src]
         hops = 0
@@ -237,34 +242,37 @@ class TrafficDriver:
             hops += 1
             nxt: list[int] = []
             for u in frontier:
-                for v in live.partners(u):
+                for v in partners(u):
                     if v == dst:
                         return hops
                     if v not in seen:
                         seen.add(v)
                         nxt.append(v)
             frontier = nxt
-        return -1  # unreachable — same_component said otherwise
+        raise StateViolation(
+            f"no path from {src} to {dst} although same_component reported "
+            "them connected: the engine's connectivity and partner answers "
+            "disagree"
+        )
 
     def _issue_requests(self, count: int, pool: list[int]) -> None:
         if count <= 0 or len(pool) < 2:
             return
         stats = self.stats
-        live = self.engine.live_graph
+        same_component = self.engine.same_component
         every = self.requests.latency_sample_every
         for _ in range(count):
             src, dst = self._request_rng.sample(pool, 2)
-            ok = live.same_component((src, dst))
+            ok = same_component((src, dst))
             stats.requests_issued += 1
             if ok:
                 stats.requests_ok += 1
                 if stats.requests_ok % every == 0:
                     hops = self._hops(src, dst)
-                    if hops >= 0:
-                        stats.latency_samples += 1
-                        stats.latency_hops_total += hops
-                        if hops > stats.latency_hops_max:
-                            stats.latency_hops_max = hops
+                    stats.latency_samples += 1
+                    stats.latency_hops_total += hops
+                    if hops > stats.latency_hops_max:
+                        stats.latency_hops_max = hops
             else:
                 stats.requests_failed += 1
             if self.searchability.record(src, dst, ok):
@@ -292,11 +300,8 @@ class TrafficDriver:
                 self._depart(pid)
         # 3. reclaim departed, unreferenced processes.
         self._reap_departed()
-        self.stats.population = sum(
-            1
-            for p in self.engine.processes.values()
-            if p.state is not PState.GONE
-        )
+        engine = self.engine
+        self.stats.population = len(engine.processes) - engine.gone_count
         # 4. arrivals (Poisson + optional flash crowd).
         joins = sample_poisson(
             self._join_rng, arrivals.join_rate * budget / 1000.0

@@ -4,13 +4,17 @@ Each mutation here textually seeds a real mirror bug into a copy of
 ``src/repro/sim/soa.py`` — the core drops a counter flush, posts the
 wrong message label, skips the generation bump on departure, resets a
 recycled slot's generation, overlaps two packed-record fields,
-registers a misspelt kernel, or loses a send from the scheduler pool —
+registers a misspelt kernel, loses a send from the scheduler pool, or
+labels components without one of its in-edges —
 swaps the mutated ``EngineCore`` in, and asserts that the named oracle
 rejects it:
 
 * ``verify`` — an engine under ``engine_mode="verify"`` raises on its
   first divergent step (or, for a broken registry, while building the
-  core);
+  core). Its predicate asks the engine's query facade for Φ, partners,
+  connectivity and the legitimacy clauses every 13 steps, and verify
+  mode cross-checks each answer against the core's, so a bug in a core
+  query (the component labelling skipping an ``in_`` pair) trips it too;
 * ``soa_vs_objects`` — bugs inside ``run_batch``, which verify mode never
   calls: the same run on ``engine_mode="soa"`` ends with different
   statistics than on the object loop;
@@ -26,10 +30,12 @@ test here that fails under it.
 from __future__ import annotations
 
 import importlib.util
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from repro.core.potential import fdp_legitimate
 from repro.core.scenarios import (
     HEAVY_CORRUPTION,
     SCHEDULER_FACTORIES,
@@ -72,6 +78,12 @@ MUTATIONS = [
         "registry_kernel_typo",
         'kernel="_forward_kernel"',
         'kernel="_forward_kernal"',
+        "verify",
+    ),
+    (
+        "labelling_skips_in_pair",
+        "            for u in inn:\n                while parent[u] != u:\n",
+        "            for u in list(inn)[1:]:\n                while parent[u] != u:\n",
         "verify",
     ),
     (
@@ -123,6 +135,18 @@ def _build(seed: int, engine_mode: str):
     )
 
 
+def _ask_queries(engine) -> bool:
+    """A predicate that asks the engine's query facade everything: in
+    verify mode each answer is cross-checked against the core's."""
+    pids = sorted(engine.processes)
+    fdp_legitimate(engine)
+    for pid in pids:
+        engine.partner_pids(pid)
+    for a, b in combinations(pids, 2):
+        engine.same_component((a, b))
+    return False
+
+
 def _verify_catches() -> bool:
     for seed in range(8):
         engine = _build(seed, "verify")
@@ -131,7 +155,7 @@ def _verify_catches() -> bool:
         except AttributeError:  # a registry row naming no kernel
             return True
         try:
-            engine.run(3000, check_every=13)
+            engine.run(3000, until=_ask_queries, check_every=13)
         except StateViolation:
             return True
     return False
