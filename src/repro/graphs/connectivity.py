@@ -10,13 +10,15 @@ at runtime) because the simulator calls these in hot monitoring loops:
 * :func:`strongly_connected_components` — iterative Tarjan (no recursion,
   so deep path graphs cannot blow the Python stack);
 * :func:`reachable_from` / :func:`can_reach` — plain BFS utilities used by
-  hibernation detection and by the universality planner's shortest paths.
+  hibernation detection and by the universality planner's shortest paths;
+* :func:`hop_distance` — bidirectional BFS over a neighbour function, for
+  the engine's hop-distance query.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from typing import TypeVar
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "reachable_from",
     "reverse_reachable",
     "bfs_shortest_path",
+    "hop_distance",
 ]
 
 T = TypeVar("T", bound=Hashable)
@@ -237,4 +240,37 @@ def bfs_shortest_path(
                     path.append(parent[path[-1]])
                 return path[::-1]
             frontier.append(nb)
+    return None
+
+
+def hop_distance(neighbours: Callable[[T], Iterable[T]], s: T, t: T) -> int | None:
+    """Length of a shortest *s*–*t* path in the undirected graph that
+    *neighbours* enumerates, or ``None`` when *t* is unreachable.
+
+    Bidirectional BFS: each round expands the smaller frontier by one
+    whole level and returns the least meeting distance of the first
+    level where the searches meet, so the answer is exact.
+    """
+    if s == t:
+        return 0
+    near, far = {s: 0}, {t: 0}
+    near_front, far_front = [s], [t]
+    while near_front and far_front:
+        if len(near_front) > len(far_front):
+            near, far, near_front, far_front = far, near, far_front, near_front
+        best: int | None = None
+        nxt: list[T] = []
+        for u in near_front:
+            du = near[u] + 1
+            for v in neighbours(u):
+                dv = far.get(v)
+                if dv is not None:
+                    if best is None or du + dv < best:
+                        best = du + dv
+                elif v not in near:
+                    near[v] = du
+                    nxt.append(v)
+        if best is not None:
+            return best
+        near_front = nxt
     return None

@@ -44,7 +44,8 @@ path.
 (default) runs the historical object-per-process step loop above;
 ``"soa"`` executes eligible runs on the struct-of-arrays
 :class:`~repro.sim.soa.EngineCore` (int-slotted processes, tagged-int
-refs) and exports the final state back into the object model;
+refs) and exports its state back into the object model when something
+first reads an object;
 ``"verify"`` runs both in lockstep and raises
 :class:`~repro.errors.StateViolation` on any divergence — the
 differential oracle. Verify mode also cross-checks each action's
@@ -53,12 +54,14 @@ write-through ref log against a before/after fingerprint diff.
 The read methods above form one query facade (:meth:`Engine._checked`):
 ``potential()``, ``edge_count``, ``pending_count``, ``describe()``,
 ``progress_diagnostics()``, ``partners()``/``partner_pids()``,
-``same_component()``, ``lifecycle_clauses()`` and ``staying_pids()``.
-While the soa core holds the current state it answers them in the int
-domain; otherwise the live graph (or the object model) does. Verify mode
-answers from the live graph and cross-checks the core's answer. In soa
-mode the ``processes``/``channels`` properties complete any export the
-core deferred at a predicate boundary, so object readers stay exact.
+``hops()``, ``same_component()``, ``state_of()``, ``lifecycle_clauses()``
+and ``staying_pids()``. While the soa core holds the current state it
+answers them in the int domain; otherwise the live graph (or the object
+model) does. Verify mode answers from the live graph and cross-checks
+the core's answer. In soa mode the ``processes``/``channels`` properties
+complete any export the core deferred (at a predicate boundary or at the
+end of a run), so object readers stay exact; the open-system operations
+(``admit``, ``request_leave``, ``can_reap``, ``reap``) never need it.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from repro.errors import (
     StateViolation,
     UnknownActionError,
 )
+from repro.graphs.connectivity import hop_distance
 from repro.graphs.livegraph import LiveGraph, explicit_fingerprint
 from repro.graphs.snapshot import Edge, EdgeKind, NodeView, ProcessGraph
 from repro.sim.channel import Channel
@@ -406,8 +410,11 @@ class Engine:
         included, reaped ones not).
 
         Reading it completes any export the struct-of-arrays core has
-        deferred, so callers always see the exact current state. The
-        engine's own step loop reads the private dict instead.
+        deferred, so callers always see the exact current state. A soa
+        :meth:`run` returns with the export deferred, so a
+        :class:`~repro.sim.process.Process` held across a run is stale
+        until this property is read again. The engine's own step loop
+        reads the private dict instead.
         """
         if self._export_pending:
             self._complete_export()
@@ -470,6 +477,11 @@ class Engine:
         if self._lifecycle_stale:
             self._recount_lifecycle()
         return self._gone_count
+
+    @property
+    def alive_count(self) -> int:
+        """Number of processes that are not gone (O(1), no export)."""
+        return len(self._processes) - self.gone_count
 
     @property
     def last_progress_step(self) -> int:
@@ -629,13 +641,14 @@ class Engine:
 
     def actual_mode(self, pid: int) -> Mode:
         """The true (read-only) mode of process *pid*."""
-        return self.processes[pid].mode
+        # The core export never writes a mode: request_leave sets both.
+        return self._processes[pid].mode
 
     def ref(self, pid: int) -> Ref:
         """Reference for process *pid* (raises if unknown — no dead refs)."""
-        if pid not in self.processes:
+        if pid not in self._processes:
             raise ConfigurationError(f"no process with pid {pid}")
-        return self.processes[pid].self_ref
+        return self._processes[pid].self_ref  # immutable: no export needed
 
     def key_provider_for(self, process: Process) -> KeyProvider:
         """Hand ordered keys to a protocol, iff it declared the requirement."""
@@ -770,6 +783,8 @@ class Engine:
     # ------------------------------------------------------------------ lifecycle
 
     def _transition(self, proc: Process, new_state: PState) -> None:
+        if self._export_pending:  # *proc* may be stale after a soa run
+            self._complete_export()
         old = proc.state
         if old is new_state:
             return
@@ -833,21 +848,22 @@ class Engine:
             )
         pid = proc.pid
         _check_pid(pid)
-        if pid in self.processes or pid in self._retired_pids:
+        processes = self._processes
+        if pid in processes or pid in self._retired_pids:
             raise ConfigurationError(
                 f"pid {pid} already used this run; pids are never reused"
             )
         if proc.state is not PState.AWAKE:
             raise ConfigurationError("admitted processes must be awake")
         for info in proc.stored_refs():
-            if pid_of(info.ref) not in self.processes:
+            if pid_of(info.ref) not in processes:
                 raise ConfigurationError(
                     "admitted process references unknown process "
                     f"{pid_of(info.ref)}"
                 )
-        self.processes[pid] = proc
+        processes[pid] = proc  # a deferred export covers its new core slot
         channel = Channel()
-        self.channels[pid] = channel
+        self._channels[pid] = channel
         log = proc._ref_log  # noqa: SLF001 - engine owns the drain
         log.enabled = proc.ref_tracking
         log.pending.clear()
@@ -886,12 +902,14 @@ class Engine:
             try:
                 self._core.admit(pid, proc)
             except CoreUnsupported as exc:
+                self._complete_export()
                 self._core = None
                 self._core_reason = str(exc)
             except SlotRecycleOverflow:
                 # The structured overflow is the caller's problem, but a
                 # half-admitted core must not keep executing: drop it so
                 # the run (if the caller survives) falls back to objects.
+                self._complete_export()
                 self._core = None
                 self._core_reason = "slot generation space exhausted"
                 raise
@@ -909,11 +927,12 @@ class Engine:
         Idempotent for already-leaving processes.
         """
 
-        proc = self.processes.get(pid)
-        if proc is None:
+        state = self.state_of(pid)
+        if state is None:
             raise ConfigurationError(f"no process with pid {pid}")
-        if proc.state is PState.GONE:
+        if state is PState.GONE:
             raise StateViolation("gone processes cannot request departure")
+        proc = self._processes[pid]
         if proc.mode is Mode.LEAVING:
             return
         proc._mode = Mode.LEAVING  # noqa: SLF001 - engine owns lifecycle
@@ -958,8 +977,7 @@ class Engine:
         per-slot reference pins); an O(system) scan otherwise.
         """
 
-        proc = self.processes.get(pid)
-        if proc is None or proc.state is not PState.GONE:
+        if self.state_of(pid) is not PState.GONE:
             return False
         core = self._core
         if core is not None and not self._core_stale:
@@ -978,19 +996,19 @@ class Engine:
         slot's next occupant.
         """
 
-        proc = self.processes.get(pid)
-        if proc is None:
+        state = self.state_of(pid)
+        if state is None:
             raise ConfigurationError(f"no process with pid {pid}")
-        if proc.state is not PState.GONE:
+        if state is not PState.GONE:
             raise StateViolation("only gone processes can be reaped")
         core = self._core
         if core is not None and not self._core_stale:
             core.reap(core.slot_of[pid])  # raises if still referenced
         elif self._object_side_referenced(pid):
             raise StateViolation(f"process {pid} is still referenced; cannot reap")
-        channel = self.channels.pop(pid)
+        channel = self._channels.pop(pid)  # a deferred export skips the slot
         channel.observer = None
-        del self.processes[pid]
+        del self._processes[pid]
         self._retired_pids.add(pid)
         if not self._lifecycle_stale:
             self._gone_count -= 1
@@ -1351,12 +1369,15 @@ class Engine:
         In ``engine_mode="soa"`` eligible runs (no monitors/tracer/
         provenance/auditors, core-drivable scheduler) execute in batches
         on the struct-of-arrays core; anything else falls back to the
-        object loop. At a predicate boundary only the counters are
-        exported, and the core answers the predicate's graph queries;
-        the process stores and channels are exported when the predicate
-        first reads an object. Either way the run returns with the
-        object model fully exported. In ``"verify"`` mode the whole run
-        additionally ends with a deep state cross-check.
+        object loop. At a predicate boundary and at the end of the run
+        only the counters are exported, and the core answers graph
+        queries through the query facade; the process stores and
+        channels are exported when something first reads
+        :attr:`processes` or :attr:`channels`. Holding a
+        :class:`~repro.sim.process.Process` object across a soa run is
+        therefore not supported: read it through :attr:`processes`
+        afterwards. In ``"verify"`` mode the whole run additionally ends
+        with a deep state cross-check.
         """
 
         if not self._attached:
@@ -1471,9 +1492,10 @@ class Engine:
         the first object read completes the export
         (:meth:`~repro.sim.soa.EngineCore.export_to`), so the predicate
         sees exactly what the object loop would have produced. The run
-        returns fully exported. A predicate that mutates engine state
-        out-of-band marks the core stale (or drops it), and the rest of
-        the budget finishes on the object loop.
+        returns with that export still deferred, and so does a run that
+        raises while the core holds the state. A predicate that mutates
+        engine state out-of-band marks the core stale (or drops it), and
+        the rest of the budget finishes on the object loop.
         """
         core.drive(self.scheduler)
         try:
@@ -1503,9 +1525,9 @@ class Engine:
                     if until(self):
                         return True
                     if self._core is not core or self._core_stale:
-                        # The predicate poked engine state; the core no
+                        # The predicate poked engine state (which
+                        # completed the export first); the core no
                         # longer mirrors it. Finish on the object loop.
-                        self._complete_export()
                         return self._run_objects(
                             max_steps - i,
                             until=until,
@@ -1522,9 +1544,12 @@ class Engine:
                     diagnostics=self.progress_diagnostics(),
                 )
             return False
+        except BaseException:
+            if self._core is core and not self._core_stale:
+                self._defer_export(core)  # the objects may be behind
+            raise
         finally:
             core.drive(None)
-            self._complete_export()
 
     def _defer_export(self, core: Any) -> None:
         """Export the core's counters now and its objects on demand."""
@@ -1615,6 +1640,39 @@ class Engine:
         if self._engine_mode == "soa":
             return found
         return self._checked("partners", found, self._ensure_live().partners(pid))
+
+    def hops(self, src: int, dst: int) -> int | None:
+        """Hop distance between *src* and *dst* in PG (edges in either
+        direction, through non-gone processes), or ``None`` if no path:
+        :func:`~repro.graphs.connectivity.hop_distance` over the core's
+        slot walk or the live partners (see :meth:`_checked`)."""
+        if src == dst:
+            return 0
+        core = self._query_core()
+        if core is None:
+            return hop_distance(self._ensure_live().partners, src, dst)
+        s, t = core.slot_of.get(src), core.slot_of.get(dst)
+        found = None if s is None or t is None else hop_distance(core.neighbours, s, t)
+        if self._engine_mode == "soa":
+            return found
+        return self._checked(
+            "hops", found, hop_distance(self._ensure_live().partners, src, dst)
+        )
+
+    def state_of(self, pid: int) -> PState | None:
+        """Lifecycle state of process *pid*; ``None`` for an unknown or
+        reaped pid. O(1): the core's lifecycle column, or the object
+        (see :meth:`_checked`)."""
+        proc = self._processes.get(pid)
+        if proc is None:
+            return None
+        core = self._query_core()
+        if core is None:
+            return proc.state
+        state = core.state_of(core.slot_of[pid])
+        if self._engine_mode == "soa":
+            return state
+        return self._checked("state_of", state, proc.state)
 
     def partner_pids(self, pid: int) -> set[int]:
         """Relevant processes (≠ *pid*) having an edge with *pid*, in either

@@ -32,19 +32,20 @@ The core runs in two roles selected by ``Engine(engine_mode=...)``:
   from the engine's own scheduler (:meth:`drive`) and executes kernels.
   At a predicate boundary the engine copies back only the counters
   (:meth:`export_counters`); the process stores and channels follow
-  (:meth:`export_to`) when something first reads an object, and at
-  run end. The scheduler has one state only: the core samples and
-  appends to a :class:`~repro.sim.scheduler.RandomScheduler`'s
-  packed-int pool in place, and notifies any other scheduler through
-  its public hooks.
+  (:meth:`export_to`) when something first reads an object; a run
+  returns with that export still deferred. The scheduler has one
+  state only: the core samples and appends to a
+  :class:`~repro.sim.scheduler.RandomScheduler`'s packed-int pool in
+  place, and notifies any other scheduler through its public hooks.
 
 While the core holds the current state it also answers the engine's
-graph queries in the int domain (:meth:`partners`,
-:meth:`same_component`, :meth:`lifecycle_clauses`,
-:meth:`staying_pids`, :meth:`pending_count`, and the Φ and edge
-counters), so neither the live graph nor the object model is rebuilt
-just to answer a question. Hibernation (which needs sleepers' channel
-and reachability fixpoint) stays a live-graph query.
+graph queries in the int domain (:meth:`partners` and the hop
+distance over :meth:`neighbours`, :meth:`same_component`,
+:meth:`state_of`, :meth:`lifecycle_clauses`, :meth:`staying_pids`,
+:meth:`pending_count`, and the Φ and edge counters), so neither the
+live graph nor the object model is rebuilt just to answer a question.
+Hibernation (which needs sleepers' channel and reachability fixpoint)
+stays a live-graph query.
 
 Eligibility is checked at construction: homogeneous exact-type
 FDP/FSP populations, a kernelizable oracle (``None``/SINGLE/ALWAYS/
@@ -957,11 +958,12 @@ class EngineCore:
 
     # ------------------------------------------------------------------ queries
 
-    def partners(self, u: int) -> set[int]:
-        """Pids of the non-gone processes (other than slot *u*'s) that
-        share an edge with *u* in either direction: the ``in_`` index
-        plus *u*'s own stores (N, anchor, parked, channel subjects).
-        A gone slot has no edges, so no partners."""
+    def neighbours(self, u: int) -> set[int]:
+        """Slots of the non-gone processes (other than *u*) that share an
+        edge with slot *u* in either direction: the ``in_`` index plus
+        *u*'s own stores (N, anchor, parked, channel subjects). A gone
+        slot has no edges, so no neighbours. The one neighbour walk of
+        :meth:`partners` and the engine's hop-distance query."""
         state_ = self.state_
         if state_[u] == _GONE:
             return set()
@@ -974,10 +976,16 @@ class EngineCore:
             slots.update(self.parked[u])
         for rec in self.ch[u].values():
             slots.add(((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1)
+        return {q for q in slots if q >= 0 and q != u and state_[q] != _GONE}
+
+    def partners(self, u: int) -> set[int]:
+        """Pids of :meth:`neighbours`."""
         pids = self.pids
-        return {
-            pids[q] for q in slots if q >= 0 and q != u and state_[q] != _GONE
-        }
+        return {pids[q] for q in self.neighbours(u)}
+
+    def state_of(self, u: int) -> PState:
+        """Lifecycle state of slot *u*."""
+        return _STATE_BY_CODE[self.state_[u]]
 
     def _component_labels(self) -> list[int]:
         """Weak-component label of every slot, by union-find over the

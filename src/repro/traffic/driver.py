@@ -28,10 +28,13 @@ member of an initial component to leaving; processes admitted mid-run
 are always free to leave.
 
 Requests are observation-only reads through the engine's query facade
-(``Engine.same_component`` and ``Engine.partners``; never engine
+(``Engine.same_component`` and ``Engine.hops``; never engine
 mutations), so traffic leaves schedule replay untouched. On the
 struct-of-arrays core the core answers them in the int domain; on the
-object loop the live graph does. The driver writes its own
+object loop the live graph does. The churn operations read lifecycle
+states, references and the population through the same facade
+(``state_of``, ``ref``, ``alive_count``), so a boundary never forces the
+core's deferred object export. The driver writes its own
 boundary-level JSONL trace — hooking a per-step tracer would disqualify
 the run from the struct-of-arrays fast path.
 """
@@ -162,9 +165,7 @@ class TrafficDriver:
                 )
             else:
                 self._watch.add(pid)
-        self.stats.population = sum(
-            1 for p in engine.processes.values() if p.state is not PState.GONE
-        )
+        self.stats.population = engine.alive_count
         engine.traffic_stats = self.stats
 
     # ------------------------------------------------------------------ churn
@@ -190,11 +191,11 @@ class TrafficDriver:
         engine = self.engine
         done: list[int] = []
         for pid in sorted(self._watch):
-            proc = engine.processes.get(pid)
-            if proc is None:
+            state = engine.state_of(pid)
+            if state is None:
                 done.append(pid)
                 continue
-            if proc.state is PState.GONE and engine.can_reap(pid):
+            if state is PState.GONE and engine.can_reap(pid):
                 engine.reap(pid)
                 self.searchability.retire(pid)
                 self.stats.reaps += 1
@@ -210,7 +211,7 @@ class TrafficDriver:
             self.stats.joins_deferred += 1
             return False
         contact_pid = self._join_rng.choice(pool)
-        contact = self.engine.processes[contact_pid].self_ref
+        contact = self.engine.ref(contact_pid)
         pid = self._next_pid
         self._next_pid += 1
         proc = self._joiner(pid, contact)
@@ -228,30 +229,16 @@ class TrafficDriver:
     # ------------------------------------------------------------------ requests
 
     def _hops(self, src: int, dst: int) -> int:
-        """PG hop distance via BFS over the engine's partner query, for
-        a pair :meth:`~repro.sim.engine.Engine.same_component` reported
+        """PG hop distance for a pair
+        :meth:`~repro.sim.engine.Engine.same_component` reported
         connected."""
 
-        if src == dst:
-            return 0
-        partners = self.engine.partners
-        seen = {src}
-        frontier = [src]
-        hops = 0
-        while frontier:
-            hops += 1
-            nxt: list[int] = []
-            for u in frontier:
-                for v in partners(u):
-                    if v == dst:
-                        return hops
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
+        hops = self.engine.hops(src, dst)
+        if hops is not None:
+            return hops
         raise StateViolation(
             f"no path from {src} to {dst} although same_component reported "
-            "them connected: the engine's connectivity and partner answers "
+            "them connected: the engine's connectivity and hop answers "
             "disagree"
         )
 
@@ -300,8 +287,7 @@ class TrafficDriver:
                 self._depart(pid)
         # 3. reclaim departed, unreferenced processes.
         self._reap_departed()
-        engine = self.engine
-        self.stats.population = len(engine.processes) - engine.gone_count
+        self.stats.population = self.engine.alive_count
         # 4. arrivals (Poisson + optional flash crowd).
         joins = sample_poisson(
             self._join_rng, arrivals.join_rate * budget / 1000.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.graphs.connectivity import (
     UnionFind,
     bfs_shortest_path,
+    hop_distance,
     is_strongly_connected,
     is_weakly_connected,
     reachable_from,
@@ -196,3 +197,37 @@ class TestShortestPath:
         # and it is an actual path
         for a, b in zip(path, path[1:], strict=False):
             assert (a, b) in set(edges)
+
+
+@st.composite
+def sparse_graph_strategy(draw):
+    """Undirected graphs sparse enough to fall apart into components
+    and to grow long shortest paths."""
+    n = draw(st.integers(1, 40))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n
+        )
+    )
+    return n, edges
+
+
+class TestHopDistance:
+    def test_trivial(self):
+        assert hop_distance(lambda u: (), 0, 0) == 0
+
+    def test_two_components(self):
+        adj = {0: [1], 1: [0, 2], 2: [1], 3: [4], 4: [3]}
+        assert hop_distance(adj.__getitem__, 0, 2) == 2
+        assert hop_distance(adj.__getitem__, 0, 4) is None
+        assert hop_distance(adj.__getitem__, 4, 0) is None
+
+    @given(sparse_graph_strategy(), st.integers(0, 39), st.integers(0, 39))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bfs_shortest_path(self, graph, s, t):
+        n, edges = graph
+        s, t = s % n, t % n
+        undirected = to_adj(n, edges + [(b, a) for a, b in edges])
+        path = bfs_shortest_path(undirected, s, t)
+        expected = None if path is None else len(path) - 1
+        assert hop_distance(undirected.__getitem__, s, t) == expected

@@ -2,8 +2,9 @@
 
 While the struct-of-arrays core holds the current state, ``Engine``'s
 read methods (``potential``, ``edge_count``, ``pending_count``,
-``describe``, ``partners``/``partner_pids``, ``same_component``,
-``lifecycle_clauses``, ``staying_pids``) answer from the core, and a
+``describe``, ``partners``/``partner_pids``, ``hops``,
+``same_component``, ``state_of``, ``lifecycle_clauses``,
+``staying_pids``) answer from the core, and a
 soa predicate boundary exports only the counters. This file pins that
 contract from three sides:
 
@@ -17,8 +18,11 @@ contract from three sides:
 * **no rebuilds** — counter reads after a soa run never build the live
   graph;
 * **lazy export** — a predicate that reads objects sees exactly the
-  object loop's state, a run whose predicate reads none exports once,
-  and a core dropped inside a predicate leaves the objects exported.
+  object loop's state; a run returns with the export deferred and the
+  first object read pays it once; a churn run on the core never
+  exports; and a core dropped inside a predicate, a predicate that
+  raises, or an out-of-band transition on a ``Process`` held across a
+  run all leave the object loop's state.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from repro.core.scenarios import (
     choose_leaving,
 )
 from repro.graphs import generators as gen
+from repro.graphs.connectivity import bfs_shortest_path, hop_distance
+from repro.errors import StateViolation, UnknownActionError
 from repro.sim.engine import Engine
 from repro.sim.refs import pid_of
 from repro.sim.soa import EngineCore
@@ -93,6 +99,11 @@ def _pids(engine: Engine) -> list[int]:
     return sorted(engine._processes)
 
 
+def _hop_pairs(pids: list[int]) -> list[tuple[int, int]]:
+    """Every third pair: disconnected, adjacent and distant ones alike."""
+    return list(combinations(pids, 2))[::3]
+
+
 def facade_answers(engine: Engine, scenario: str) -> dict:
     pids = _pids(engine)
     leaving_ok = all_leaving_hibernating if scenario == "fsp" else all_leaving_gone
@@ -102,6 +113,8 @@ def facade_answers(engine: Engine, scenario: str) -> dict:
         "pending": engine.pending_count,
         "pairs": [engine.same_component(pair) for pair in combinations(pids, 2)],
         "partners": [engine.partner_pids(pid) for pid in pids],
+        "hops": [engine.hops(a, b) for a, b in _hop_pairs(pids)],
+        "states": [engine.state_of(pid) for pid in pids],
         "clauses": (
             all_staying_awake(engine),
             leaving_ok(engine),
@@ -149,6 +162,8 @@ def live_answers(engine: Engine, scenario: str) -> dict:
             live.partners(pid) if relevant is None else live.partners(pid) & relevant
             for pid in pids
         ],
+        "hops": [hop_distance(live.partners, a, b) for a, b in _hop_pairs(pids)],
+        "states": [engine.processes[pid].state for pid in pids],
         "clauses": (
             staying_awake,
             leaving_gone,
@@ -188,6 +203,9 @@ def rebuild_answers(engine: Engine, scenario: str) -> dict:
         for pid in comp:
             component[pid] = idx
     within = snap.relevant() if engine.asleep_count else snap.pids
+    # hops run through any non-gone process, asleep ones included
+    adjacency = {pid: snap.partners(pid, within=snap.pids) for pid in snap.pids}
+    paths = [bfs_shortest_path(adjacency, a, b) for a, b in _hop_pairs(pids)]
     staying_awake, leaving_gone = _objects_clauses(engine)
     if scenario == "fsp":
         hibernating = snap.hibernating()
@@ -207,6 +225,8 @@ def rebuild_answers(engine: Engine, scenario: str) -> dict:
         "partners": [
             snap.partners(pid, within=within) if pid in snap else set() for pid in pids
         ],
+        "hops": [None if path is None else len(path) - 1 for path in paths],
+        "states": [engine.processes[pid].state for pid in pids],
         "clauses": (staying_awake, leaving_gone, staying_connected_snapshot(engine)),
     }
 
@@ -227,6 +247,22 @@ def assert_three_way(engine: Engine, scenario: str) -> bool:
 
 
 # ------------------------------------------------------------ differential
+
+#: churn with every operation at a small scale: joins, departure
+#: intents, reaps and hop samples at every boundary
+SMALL_CHURN = dict(
+    arrivals=ArrivalConfig(
+        join_rate=30.0,
+        session_min=200,
+        flash_crowd_prob=0.1,
+        flash_crowd_size=3,
+        mass_departure_prob=0.05,
+        mass_departure_frac=0.3,
+    ),
+    requests=RequestConfig(rate=40.0, latency_sample_every=2),
+    chunk=96,
+)
+
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -254,20 +290,7 @@ def test_facade_matches_at_predicate_boundaries(scenario, scheduler, seed, check
 @given(seed=st.integers(0, 10_000))
 def test_facade_matches_at_churn_boundaries(scenario, scheduler, seed):
     engine = _build(scenario, seed, scheduler)
-    driver = TrafficDriver(
-        engine,
-        arrivals=ArrivalConfig(
-            join_rate=30.0,
-            session_min=200,
-            flash_crowd_prob=0.1,
-            flash_crowd_size=3,
-            mass_departure_prob=0.05,
-            mass_departure_frac=0.3,
-        ),
-        requests=RequestConfig(rate=40.0, latency_sample_every=2),
-        seed=seed,
-        chunk=96,
-    )
+    driver = TrafficDriver(engine, seed=seed, **SMALL_CHURN)
     boundary = driver._boundary
     checked = []
 
@@ -348,8 +371,9 @@ def test_predicate_reading_objects_sees_the_object_loop_state():
     assert views["soa"] == views["objects"]
 
 
-def test_predicate_without_object_reads_exports_once(monkeypatch):
-    exports = []
+def _count_exports(monkeypatch) -> list[int]:
+    """Record the step count of every ``EngineCore.export_to`` call."""
+    exports: list[int] = []
     export_to = EngineCore.export_to
 
     def counting(self, engine):
@@ -357,6 +381,11 @@ def test_predicate_without_object_reads_exports_once(monkeypatch):
         return export_to(self, engine)
 
     monkeypatch.setattr(EngineCore, "export_to", counting)
+    return exports
+
+
+def test_predicate_without_object_reads_exports_once(monkeypatch):
+    exports = _count_exports(monkeypatch)
     boundaries = []
 
     def until(e: Engine) -> bool:
@@ -366,6 +395,12 @@ def test_predicate_without_object_reads_exports_once(monkeypatch):
     engine = _build("fdp", 2, "random", n=64)
     assert engine.run(500_000, until=until, check_every=64)
     assert len(boundaries) > 10
+    # run() returns with the export deferred; the first object read
+    # pays it, once
+    assert exports == []
+    engine.processes
+    assert exports == [engine.step_count]
+    engine.processes
     assert exports == [engine.step_count]
     reference = _build("fdp", 2, "random", mode="objects", n=64)
     assert reference.run(500_000, until=fdp_legitimate, check_every=64)
@@ -386,7 +421,7 @@ def test_core_dropped_inside_predicate_leaves_objects_exported():
             calls.append(e.step_count)
             if len(calls) == 3:
                 # The contact's ref comes from the private dict, so that
-                # admit itself is the first object reader in soa mode.
+                # admit dropping the core is what completes the export.
                 contact = e._processes[min(e.staying_pids())].self_ref
                 e.admit(_UnmirroredJoiner(1_000, Mode.STAYING, neighbors=[contact]))
                 if e.engine_mode == "soa":
@@ -397,4 +432,75 @@ def test_core_dropped_inside_predicate_leaves_objects_exported():
         engine.run(3_000, until=until, check_every=50)
         assert len(calls) > 3
         finals[mode] = final_state(engine)
+    assert finals["soa"] == finals["objects"]
+
+
+def test_churn_run_on_the_core_never_exports(monkeypatch):
+    exports = _count_exports(monkeypatch)
+    finals = {}
+    for mode in ("objects", "soa"):
+        engine = _build("fdp", 6, "random", mode=mode, n=24)
+        driver = TrafficDriver(engine, seed=6, **SMALL_CHURN)
+        report = driver.run(2_000)
+        if mode == "soa":
+            assert engine.core_status["active"]
+            assert exports == []
+            assert engine._export_pending
+        finals[mode] = (final_state(engine), report)
+    stats = finals["soa"][1]["stats"]
+    assert min(stats["joins"], stats["leaves"], stats["reaps"]) > 0
+    assert stats["latency_samples"] > 0
+    assert finals["soa"] == finals["objects"]
+    assert len(exports) == 1  # final_state's first object read
+
+
+def test_out_of_band_transition_on_a_held_process_sees_the_core_state():
+    finals = {}
+    for mode in ("objects", "soa"):
+        engine = _build("fdp", 7, "random", mode=mode, n=16)
+        held = dict(engine.processes)
+        awake = sorted(pid for pid, proc in held.items() if proc.state is PState.AWAKE)
+        engine.run(2_000)
+        states = {pid: engine.state_of(pid) for pid in awake}
+        exited = next(pid for pid in awake if states[pid] is PState.GONE)
+        staying = next(pid for pid in awake if states[pid] is PState.AWAKE)
+        if mode == "soa":
+            assert engine._export_pending
+            assert held[exited]._state is PState.AWAKE  # stale until exported
+        # legality is checked against the core's state, not the stale one
+        with pytest.raises(StateViolation):
+            engine._transition(held[exited], PState.ASLEEP)
+        engine._transition(held[staying], PState.GONE)
+        finals[mode] = final_state(engine)
+    assert finals["soa"] == finals["objects"]
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raiser", ["predicate", "batch"])
+def test_run_raising_mid_run_leaves_the_object_loop_state(raiser):
+    """A raise from the predicate, or from inside a core batch (a
+    planted message with an unknown label under strict delivery),
+    leaves the export owed, never skipped."""
+    finals = {}
+    for mode in ("objects", "soa"):
+        engine = _build("fdp", 8, "random", mode=mode, n=16)
+        engine.attach()
+        calls = []
+
+        def until(e: Engine, calls=calls) -> bool:
+            calls.append(e.step_count)
+            if len(calls) == 4 and raiser == "predicate":
+                raise _Stop
+            return False
+
+        if raiser == "batch":
+            engine.post(None, engine.ref(3), "bogus", ())
+        with pytest.raises(_Stop if raiser == "predicate" else UnknownActionError):
+            engine.run(3_000, until=until, check_every=40)
+        if mode == "soa":
+            assert engine._export_pending
+        finals[mode] = (calls, final_state(engine))
     assert finals["soa"] == finals["objects"]

@@ -4,17 +4,20 @@ Each mutation here textually seeds a real mirror bug into a copy of
 ``src/repro/sim/soa.py`` — the core drops a counter flush, posts the
 wrong message label, skips the generation bump on departure, resets a
 recycled slot's generation, overlaps two packed-record fields,
-registers a misspelt kernel, loses a send from the scheduler pool, or
-labels components without one of its in-edges —
+registers a misspelt kernel, loses a send from the scheduler pool,
+labels components without one of its in-edges, or walks a slot's
+neighbours without its channel subjects —
 swaps the mutated ``EngineCore`` in, and asserts that the named oracle
 rejects it:
 
 * ``verify`` — an engine under ``engine_mode="verify"`` raises on its
   first divergent step (or, for a broken registry, while building the
   core). Its predicate asks the engine's query facade for Φ, partners,
-  connectivity and the legitimacy clauses every 13 steps, and verify
-  mode cross-checks each answer against the core's, so a bug in a core
-  query (the component labelling skipping an ``in_`` pair) trips it too;
+  hop distances, connectivity and the legitimacy clauses every 13
+  steps, and verify mode cross-checks each answer against the core's,
+  so a bug in a core query (the component labelling skipping an
+  ``in_`` pair, the neighbour walk skipping channel subjects) trips it
+  too;
 * ``soa_vs_objects`` — bugs inside ``run_batch``, which verify mode never
   calls: the same run on ``engine_mode="soa"`` ends with different
   statistics than on the object loop;
@@ -87,6 +90,13 @@ MUTATIONS = [
         "verify",
     ),
     (
+        "neighbour_walk_skips_channel_subjects",
+        "        for rec in self.ch[u].values():\n"
+        "            slots.add(((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1)\n",
+        "",
+        "verify",
+    ),
+    (
         "batch_delivery_flush_dropped",
         "            self.deliveries += dcount\n",
         "",
@@ -142,6 +152,7 @@ def _ask_queries(engine) -> bool:
     fdp_legitimate(engine)
     for pid in pids:
         engine.partner_pids(pid)
+        engine.hops(pids[0], pid)
     for a, b in combinations(pids, 2):
         engine.same_component((a, b))
     return False
