@@ -110,7 +110,7 @@ class ClosureOnStepPath(Rule):
 _OBS_CLASS_RE = re.compile(r"(Monitor|Recorder|Tracer|Tracker|Sink|Probe|Auditor)$")
 #: free functions that are metric probes by convention.
 _OBS_FN_RE = re.compile(r"^_?probe")
-#: module-level dicts of probes (``STANDARD_PROBES`` and friends).
+#: module-level dicts of probes (any ``*PROBES*`` table).
 _PROBES_NAME_RE = re.compile(r"PROBES")
 #: calls that materialize a full graph snapshot.
 _SNAPSHOT_NAMES = frozenset({"snapshot", "rebuild_snapshot", "materialize"})
@@ -122,7 +122,7 @@ class SnapshotInObservationPath(Rule):
     id = "PERF003"
     title = "no snapshots or full scans in observation code"
     rationale = (
-        "The shipped STANDARD_PROBES scanned every process per sample "
+        "The first standard probe table scanned every process per sample "
         "('gone'/'asleep') and rebuilt a full snapshot per sample "
         "('edges'), silently undoing the O(delta) live-graph observation "
         "path for every monitored run. Probes, monitors, tracers and "

@@ -19,9 +19,11 @@ giving up the O(Δ) per-step observation cost of the live graph:
   per-process Φ attribution (who holds / who is the subject of the
   invalid information).
 
-Layering: ``repro.obs`` may import ``repro.sim``; the simulator never
-imports ``repro.obs`` at runtime — the engine only holds the optional
-tracker/sink objects it is handed.
+Layering: ``repro.obs`` may import ``repro.sim``; the engine never
+imports ``repro.obs`` at runtime — it only holds the optional
+tracker/sink objects it is handed. The one exception is an observer:
+a default :class:`~repro.sim.tracing.SeriesRecorder` reads its probes
+from :data:`~repro.obs.metrics.REGISTRY` when it is built.
 """
 
 from __future__ import annotations

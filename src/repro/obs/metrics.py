@@ -1,12 +1,13 @@
 """The documented probe catalog and per-process Φ attribution.
 
-:data:`REGISTRY` is the named, documented superset of
-:data:`repro.sim.tracing.STANDARD_PROBES`: every probe carries a
+:data:`REGISTRY` is the one probe registry: every probe carries a
 description and an asymptotic cost annotation, so experiment code (and
 ``repro metrics``) can pick instruments knowing what a per-step sample
-costs. All catalog probes read counters the engine already maintains —
-the PERF003 lint rule rejects probes that rebuild snapshots or scan the
-process population (the shipped ``STANDARD_PROBES`` bug).
+costs, and a default :class:`~repro.sim.tracing.SeriesRecorder` samples
+the six named in :data:`~repro.sim.tracing.DEFAULT_SERIES`. All catalog
+probes read counters the engine already maintains — the PERF003 lint
+rule rejects probes that rebuild snapshots or scan the process
+population (a bug the first standard probes shipped with).
 
 Φ attribution answers *where* the invalid information sits once Φ > 0:
 
@@ -24,16 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 from collections.abc import Callable
-
-from repro.sim.tracing import (
-    STANDARD_PROBES,
-    _probe_asleep,
-    _probe_edges,
-    _probe_gone,
-    _probe_messages_posted,
-    _probe_pending,
-    _probe_potential,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
@@ -61,6 +52,35 @@ class Probe:
 
     def __call__(self, engine: "Engine") -> float:
         return self.fn(engine)
+
+
+# Named module-level functions (not lambdas) so the observation-path lint
+# (PERF003) covers their bodies. Each reads a counter the engine already
+# maintains; none may rebuild a snapshot or scan the process population.
+
+
+def _probe_potential(e: "Engine") -> float:
+    return float(e.potential())
+
+
+def _probe_gone(e: "Engine") -> float:
+    return float(e.gone_count)
+
+
+def _probe_asleep(e: "Engine") -> float:
+    return float(e.asleep_count)
+
+
+def _probe_pending(e: "Engine") -> float:
+    return float(e.pending_count)
+
+
+def _probe_messages_posted(e: "Engine") -> float:
+    return float(e.stats.messages_posted)
+
+
+def _probe_edges(e: "Engine") -> float:
+    return float(e.edge_count)
 
 
 def _probe_steps(e: "Engine") -> float:
@@ -316,12 +336,10 @@ _CATALOG: tuple[Probe, ...] = (
     ),
 )
 
-#: name → probe; the documented catalog ``repro metrics`` renders.
+#: name → probe; the documented catalog ``repro metrics`` renders, and
+#: the source of a default :class:`~repro.sim.tracing.SeriesRecorder`'s
+#: probes.
 REGISTRY: dict[str, Probe] = {p.name: p for p in _CATALOG}
-
-# The registry must cover everything a default SeriesRecorder samples —
-# guarded by tests/obs/test_metrics.py.
-assert set(STANDARD_PROBES) <= set(REGISTRY)
 
 
 def standard_probe_fns(names: tuple[str, ...] | None = None) -> dict[

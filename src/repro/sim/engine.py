@@ -449,17 +449,11 @@ class Engine:
 
         O(1); safe for probes. ``active`` is True when a core instance is
         mirroring (verify) or eligible to drive (soa) this engine.
-        ``protocols`` and ``actions`` come from the mirror registry — the
-        declarative statement of what the int core can execute.
         """
-        from repro.sim.soa import MIRROR_ACTIONS, MIRROR_PROTOCOLS
-
         return {
             "engine_mode": self._engine_mode,
             "active": self._core is not None,
             "reason": self._core_reason,
-            "protocols": tuple(p.process_class for p in MIRROR_PROTOCOLS),
-            "actions": tuple(a.name for a in MIRROR_ACTIONS),
         }
 
     @property
@@ -1366,38 +1360,76 @@ class Engine:
         out predicate evaluation — legitimacy checks walk the whole graph,
         so evaluating every step would dominate large runs.
 
+        The run is one loop over batches, each ending at the next
+        predicate boundary (or at the end of the budget when there is no
+        predicate); the predicate runs at the start, once per boundary,
+        at the end of the budget and at quiescence. A batch is either
+        :meth:`~repro.sim.soa.EngineCore.run_batch` on the
+        struct-of-arrays core or that many calls of :meth:`step`, and a
+        batch that executes fewer steps than asked means quiescence.
+
         In ``engine_mode="soa"`` eligible runs (no monitors/tracer/
-        provenance/auditors, core-drivable scheduler) execute in batches
-        on the struct-of-arrays core; anything else falls back to the
-        object loop. At a predicate boundary and at the end of the run
-        only the counters are exported, and the core answers graph
-        queries through the query facade; the process stores and
-        channels are exported when something first reads
-        :attr:`processes` or :attr:`channels`. Holding a
-        :class:`~repro.sim.process.Process` object across a soa run is
-        therefore not supported: read it through :attr:`processes`
-        afterwards. In ``"verify"`` mode the whole run additionally ends
-        with a deep state cross-check.
+        provenance/auditors, core-drivable scheduler) take core batches.
+        After each one only the counters are exported, and the core
+        answers graph queries through the query facade; the process
+        stores and channels are exported when something first reads
+        :attr:`processes` or :attr:`channels`. The run returns with that
+        export still deferred, and so does a run that raises while the
+        core holds the state, so a :class:`~repro.sim.process.Process`
+        object held across a soa run is stale: read it through
+        :attr:`processes` afterwards. A predicate that mutates engine
+        state out-of-band marks the core stale (or drops it), and the
+        rest of the budget runs in object batches. In ``"verify"`` mode
+        the whole run additionally ends with a deep state cross-check.
         """
 
         if not self._attached:
             self.attach()
-        if self._engine_mode == "soa":
-            core = self._soa_core()
-            if core is not None:
-                return self._run_soa(
-                    max_steps,
-                    core,
-                    until=until,
-                    check_every=check_every,
-                    raise_on_budget=raise_on_budget,
-                )
-        result = self._run_objects(
-            max_steps,
-            until=until,
-            check_every=check_every,
-            raise_on_budget=raise_on_budget,
-        )
+        driven = self._soa_core() if self._engine_mode == "soa" else None
+        core = driven
+        if driven is not None:
+            driven.drive(self.scheduler)
+        try:
+            i = 0
+            while True:
+                if until is not None and until(self):
+                    result = True
+                    break
+                if i >= max_steps:
+                    if raise_on_budget:
+                        raise ConvergenceError(
+                            f"predicate not reached within {max_steps} steps",
+                            stats=self.stats.as_dict(),
+                            diagnostics=self.progress_diagnostics(),
+                        )
+                    result = False
+                    break
+                if until is None:
+                    batch = max_steps - i
+                else:
+                    batch = min(check_every - i % check_every, max_steps - i)
+                if core is not None and (self._core is not core or self._core_stale):
+                    # The predicate poked engine state (which completed
+                    # the export first); the core no longer mirrors it.
+                    core = None
+                if core is not None:
+                    executed = core.run_batch(batch)
+                    self._defer_export(core)
+                else:
+                    executed = 0
+                    while executed < batch and self.step() is not None:
+                        executed += 1
+                i += executed
+                if executed < batch:  # quiescent: state can no longer change
+                    result = until is not None and until(self)
+                    break
+        except BaseException:
+            if core is not None and self._core is core and not self._core_stale:
+                self._defer_export(core)  # the objects may be behind
+            raise
+        finally:
+            if driven is not None:
+                driven.drive(None)
         if (
             self._engine_mode == "verify"
             and self._core is not None
@@ -1405,35 +1437,6 @@ class Engine:
         ):
             self._core.verify_full(self)
         return result
-
-    def _run_objects(
-        self,
-        max_steps: int,
-        *,
-        until: Callable[["Engine"], bool] | None = None,
-        check_every: int = 1,
-        raise_on_budget: bool = False,
-    ) -> bool:
-        if until is not None and until(self):
-            return True
-        for i in range(max_steps):
-            executed = self.step()
-            if executed is None:  # quiescent: state can no longer change
-                return until(self) if until is not None else False
-            if until is not None and (i + 1) % check_every == 0 and until(self):
-                return True
-        # Final check only when the last loop iteration did not just
-        # evaluate the predicate (max_steps == 0 was covered pre-loop,
-        # and 0 % check_every == 0 skips it here too).
-        if until is not None and max_steps % check_every != 0 and until(self):
-            return True
-        if raise_on_budget:
-            raise ConvergenceError(
-                f"predicate not reached within {max_steps} steps",
-                stats=self.stats.as_dict(),
-                diagnostics=self.progress_diagnostics(),
-            )
-        return False
 
     def _soa_core(self) -> Any | None:
         """The core for a batched soa run, or ``None`` to fall back.
@@ -1472,84 +1475,6 @@ class Engine:
             return None
         self._core_reason = None
         return core
-
-    def _run_soa(
-        self,
-        max_steps: int,
-        core: Any,
-        *,
-        until: Callable[["Engine"], bool] | None = None,
-        check_every: int = 1,
-        raise_on_budget: bool = False,
-    ) -> bool:
-        """Batched run on the struct-of-arrays core.
-
-        The core executes up to ``check_every`` steps per batch without
-        touching the object model. At each predicate boundary (and at
-        quiescence / budget end) only the counters are written back
-        (:meth:`~repro.sim.soa.EngineCore.export_counters`); *until*
-        reads graph answers from the core through the query facade, and
-        the first object read completes the export
-        (:meth:`~repro.sim.soa.EngineCore.export_to`), so the predicate
-        sees exactly what the object loop would have produced. The run
-        returns with that export still deferred, and so does a run that
-        raises while the core holds the state. A predicate that mutates
-        engine state out-of-band marks the core stale (or drops it), and
-        the rest of the budget finishes on the object loop.
-        """
-        core.drive(self.scheduler)
-        try:
-            if until is not None:
-                if until(self):
-                    return True
-                if self._core is not core or self._core_stale:
-                    return self._run_objects(
-                        max_steps,
-                        until=until,
-                        check_every=check_every,
-                        raise_on_budget=raise_on_budget,
-                    )
-            i = 0
-            while i < max_steps:
-                if until is not None:
-                    batch = min(check_every - (i % check_every), max_steps - i)
-                else:
-                    batch = max_steps - i
-                executed = core.run_batch(batch)
-                i += executed
-                if executed < batch:  # quiescent: state can no longer change
-                    self._defer_export(core)
-                    return until(self) if until is not None else False
-                if until is not None and i % check_every == 0:
-                    self._defer_export(core)
-                    if until(self):
-                        return True
-                    if self._core is not core or self._core_stale:
-                        # The predicate poked engine state (which
-                        # completed the export first); the core no
-                        # longer mirrors it. Finish on the object loop.
-                        return self._run_objects(
-                            max_steps - i,
-                            until=until,
-                            check_every=check_every,
-                            raise_on_budget=raise_on_budget,
-                        )
-            self._defer_export(core)
-            if until is not None and max_steps % check_every != 0 and until(self):
-                return True
-            if raise_on_budget:
-                raise ConvergenceError(
-                    f"predicate not reached within {max_steps} steps",
-                    stats=self.stats.as_dict(),
-                    diagnostics=self.progress_diagnostics(),
-                )
-            return False
-        except BaseException:
-            if self._core is core and not self._core_stale:
-                self._defer_export(core)  # the objects may be behind
-            raise
-        finally:
-            core.drive(None)
 
     def _defer_export(self, core: Any) -> None:
         """Export the core's counters now and its objects on demand."""

@@ -23,14 +23,16 @@ The core runs in two roles selected by ``Engine(engine_mode=...)``:
 
 * ``verify`` — the object engine executes every step and the core
   *mirrors* it (:meth:`mirror_step`), replaying the event through the
-  int kernels and cross-checking counters after every step plus a deep
-  structural comparison (:meth:`verify_full`) at run end. Divergence
-  raises :class:`~repro.errors.StateViolation`. The same mode also
+  int kernels. After every step it cross-checks every counter of the
+  :data:`_COUNTERS` table, the Φ/pending/edge totals and the acting
+  process's lifecycle state; a deep structural comparison
+  (:meth:`verify_full`) follows at run end. Divergence raises
+  :class:`~repro.errors.StateViolation`. The same mode also
   cross-checks the engine's write-through ref log against a
   fingerprint diff after every action.
 * ``soa`` — the core *drives* (:meth:`run_batch`): it selects events
   from the engine's own scheduler (:meth:`drive`) and executes kernels.
-  At a predicate boundary the engine copies back only the counters
+  After each batch the engine copies back only the counters
   (:meth:`export_counters`); the process stores and channels follow
   (:meth:`export_to`) when something first reads an object; a run
   returns with that export still deferred. The scheduler has one
@@ -47,11 +49,20 @@ live graph nor the object model is rebuilt just to answer a question.
 Hibernation (which needs sleepers' channel and reachability fixpoint)
 stays a live-graph query.
 
+Every scalar counter that crosses between the engine and the core is
+named once, in :data:`_COUNTERS`: construction imports through it, the
+export writes through it and verify mode compares through it. A
+process's stores enter the int domain through one encoder
+(:meth:`EngineCore._encode_stores`) at construction and at admit, and a
+slot's out-edges enter and leave the edge multiset through one walk
+(:meth:`EngineCore._out_edges`).
+
 Eligibility is checked at construction: homogeneous exact-type
 FDP/FSP populations, a kernelizable oracle (``None``/SINGLE/ALWAYS/
-NEVER), and encodable channel content. Anything else raises
-:class:`CoreUnsupported` and the engine falls back to (or stays on)
-the object path, recording the reason in ``Engine.core_status``.
+NEVER), stores without self-references, and encodable channel
+content. Anything else raises :class:`CoreUnsupported` and the engine
+falls back to (or stays on) the object path, recording the reason in
+``Engine.core_status``.
 
 The kernels below are line-for-line transcriptions of
 :class:`~repro.core.fdp.FDPProcess` / :class:`~repro.core.fsp.FSPProcess`
@@ -64,6 +75,7 @@ iteration orders stay bit-identical between the two cores.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import (
@@ -137,65 +149,65 @@ class CoreUnsupported(Exception):
     """
 
 
-# ---------------------------------------------------------------------------
-# Mirror registry: the declarative correspondence between the object model
-# and the kernels below. The engine reads these rows at runtime for
-# eligibility, the label table and delivery dispatch — one source of truth
-# instead of name matching in three places.
+#: Label ids 0.. of the mirrored protocols' remotely callable actions:
+#: the packed record's label field, and the index into
+#: ``EngineCore._deliver_kernels``. Other labels are interned after them.
+_LABELS: tuple[str, ...] = ("present", "forward")
 
-
-class MirrorAction:
-    """One mirrored protocol action (a timeout or a message label)."""
-
-    __slots__ = ("name", "kind", "label_id", "kernel")
-
-    def __init__(
-        self, *, name: str, kind: str, kernel: str, label_id: int = -1
-    ) -> None:
-        self.name = name
-        #: "timeout" or "deliver" (a remotely callable action).
-        self.kind = kind
-        #: packed-record label id for deliver rows (bits 0-7); -1 otherwise.
-        self.label_id = label_id
-        #: method name of the int kernel on :class:`EngineCore`.
-        self.kernel = kernel
-
-
-class MirrorProtocol:
-    """One object-model protocol class the core can execute."""
-
-    __slots__ = ("name", "process_class", "is_fsp", "capability")
-
-    def __init__(
-        self, *, name: str, process_class: str, is_fsp: bool, capability: str
-    ) -> None:
-        self.name = name
-        #: exact class name (subclasses are NOT core-eligible).
-        self.process_class = process_class
-        #: value of the kernels' ``self.is_fsp`` branch flag.
-        self.is_fsp = is_fsp
-        #: engine capability the population requires ("EXIT"/"SLEEP").
-        self.capability = capability
-
-
-MIRROR_ACTIONS: tuple[MirrorAction, ...] = (
-    MirrorAction(name="timeout", kind="timeout", kernel="_timeout_kernel"),
-    MirrorAction(
-        name="present", kind="deliver", label_id=0, kernel="_present_kernel"
-    ),
-    MirrorAction(
-        name="forward", kind="deliver", label_id=1, kernel="_forward_kernel"
-    ),
+#: Every scalar counter that crosses between the engine and the core,
+#: named once as (core attribute, engine attribute); a ``stats.`` prefix
+#: names an :class:`~repro.sim.engine.EngineStats` field. Construction
+#: imports through this table, :meth:`EngineCore.export_counters` exports
+#: through it and verify mode compares through it, so verify mode checks
+#: exactly what the export writes.
+_COUNTERS: tuple[tuple[str, str], ...] = (
+    ("steps", "step_count"),
+    ("clock", "_clock"),
+    ("next_seq", "_msg_seq"),
+    ("stat_steps", "stats.steps"),
+    ("timeouts", "stats.timeouts"),
+    ("deliveries", "stats.deliveries"),
+    ("posted", "stats.messages_posted"),
+    ("dropped", "stats.dropped_unknown"),
+    ("dropped_gone", "stats.dropped_gone"),
+    ("bounced", "stats.bounced"),
+    ("exits", "stats.exits"),
+    ("sleeps", "stats.sleeps"),
+    ("wakes", "stats.wakes"),
+    ("oq", "stats.oracle_queries"),
+    ("otrue", "stats.oracle_true"),
+    ("asleep", "_asleep_count"),
+    ("gone", "_gone_count"),
+    ("last_progress", "_last_progress_step"),
+    ("last_phi_seen", "_last_phi_seen"),
 )
 
-MIRROR_PROTOCOLS: tuple[MirrorProtocol, ...] = (
-    MirrorProtocol(
-        name="FDP", process_class="FDPProcess", is_fsp=False, capability="EXIT"
-    ),
-    MirrorProtocol(
-        name="FSP", process_class="FSPProcess", is_fsp=True, capability="SLEEP"
-    ),
-)
+#: The per-pid tallies: a per-slot list on the core and a pid → count
+#: dict of the same name on :class:`~repro.sim.engine.EngineStats`.
+_TALLIES: tuple[str, ...] = ("timeouts_by", "deliveries_by", "sent_by", "received_by")
+
+
+def _engine_side(engine: Engine) -> Iterator[tuple[str, Any, str]]:
+    """(core attribute, engine-side owner, attribute) per
+    :data:`_COUNTERS` row."""
+    stats = engine.stats
+    for name, path in _COUNTERS:
+        owner, _, attr = path.rpartition(".")
+        yield name, stats if owner else engine, attr
+
+
+def _slot(ref: Any, pid: int, slot_of: dict[int, int], what: str) -> int:
+    """Slot of a reference that *pid* holds in store *what*."""
+    rpid = ref._pid  # noqa: SLF001
+    if rpid == pid:
+        # The object path's ctx.send auto-completes beliefs on self
+        # references when draining such (corrupted) stores; the kernels
+        # do not model that corner.
+        raise CoreUnsupported(f"self-reference {what} by pid {pid}")
+    v = slot_of.get(rpid)
+    if v is None:
+        raise CoreUnsupported(f"pid {pid} {what} unknown pid {rpid}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +300,17 @@ class EngineCore:
         if n > (1 << REF_SLOT_BITS):
             raise CoreUnsupported(f"population {n} exceeds slot space")
         first = type(procs[0])
-        proto_classes = {"FDPProcess": FDPProcess, "FSPProcess": FSPProcess}
-        proto = None
-        for row in MIRROR_PROTOCOLS:
-            if proto_classes.get(row.process_class) is first:
-                proto = row
-                break
-        if proto is None:
+        # exact classes only: subclasses are not core-eligible.
+        is_fsp = {FDPProcess: False, FSPProcess: True}.get(first)
+        if is_fsp is None:
             raise CoreUnsupported(f"non-FDP/FSP population ({first.__name__})")
-        self.is_fsp = proto.is_fsp
-        allowed = (
-            engine.capability.allows_sleep
-            if proto.capability == "SLEEP"
-            else engine.capability.allows_exit
-        )
-        if not allowed:
+        self.is_fsp = is_fsp
+        cap = engine.capability
+        if not (cap.allows_sleep if is_fsp else cap.allows_exit):
             raise CoreUnsupported(
-                f"{proto.name} population without {proto.capability} capability"
+                "FSP population without SLEEP capability"
+                if is_fsp
+                else "FDP population without EXIT capability"
             )
         if any(type(p) is not first for p in procs):
             raise CoreUnsupported("heterogeneous population")
@@ -322,8 +328,7 @@ class EngineCore:
             raise CoreUnsupported(f"unkernelized oracle {oracle!r}")
 
         self.pids: list[int] = [p.pid for p in procs]
-        slot_of = {pid: i for i, pid in enumerate(self.pids)}
-        self.slot_of: dict[int, int] = slot_of
+        self.slot_of: dict[int, int] = {pid: i for i, pid in enumerate(self.pids)}
         self.strict = engine.strict
 
         self.mode_ = bytearray(n)
@@ -335,63 +340,20 @@ class EngineCore:
         self.anchor_ = [-1] * n
         self.abelief_ = bytearray([_NONE]) * n
         self.N: list[dict[int, int]] = [dict() for _ in range(n)]
-        if self.is_fsp:
-            self.parked: list[dict[int, int]] = [dict() for _ in range(n)]
-            self.averified_ = bytearray(n)
-            self.aprobe_ = bytearray(n)
-        else:
-            self.parked = []
-            self.averified_ = bytearray(0)
-            self.aprobe_ = bytearray(0)
+        self.parked: list[dict[int, int]] = [dict() for _ in range(n if is_fsp else 0)]
+        self.averified_ = bytearray(n if is_fsp else 0)
+        self.aprobe_ = bytearray(n if is_fsp else 0)
         for i, p in enumerate(procs):
-            if p.mode is Mode.LEAVING:
-                self.mode_[i] = _LEAVING
-            st = p.state
-            self.state_[i] = (
-                _GONE if st is PState.GONE else _ASLEEP if st is PState.ASLEEP else _AWAKE
-            )
-            nd = self.N[i]
-            for ref, belief in p.N.items():
-                slot = slot_of[ref._pid]  # noqa: SLF001
-                if slot == i:
-                    # The object path's ctx.send auto-completes beliefs on
-                    # self references when draining such (corrupted) stores;
-                    # the kernels do not model that corner.
-                    raise CoreUnsupported(f"self-reference stored by pid {p.pid}")
-                nd[slot] = _code(belief)
-            anchor = p.anchor
-            if anchor is not None:
-                aslot = slot_of[anchor._pid]  # noqa: SLF001
-                if aslot == i:
-                    raise CoreUnsupported(f"self-anchor stored by pid {p.pid}")
-                self.anchor_[i] = aslot
-            self.abelief_[i] = _code(p.anchor_belief)
-            if self.is_fsp:
-                pk = self.parked[i]
-                for ref, belief in p.parked.items():
-                    slot = slot_of[ref._pid]  # noqa: SLF001
-                    if slot == i:
-                        raise CoreUnsupported(f"self-reference parked by pid {p.pid}")
-                    pk[slot] = _code(belief)
-                self.averified_[i] = 1 if p.anchor_verified else 0
-                self.aprobe_[i] = 1 if p.anchor_probe_sent else 0
+            self._fill_slot(i, p, self._encode_stores(p))
 
-        # Channels: per-slot insertion-ordered {seq: packed record}. The
-        # protocol label table and the delivery dispatch come straight
-        # from the mirror registry (ids are dense by construction).
-        deliver = sorted(
-            (a for a in MIRROR_ACTIONS if a.kind == "deliver"),
-            key=lambda a: a.label_id,
-        )
-        self.labels: list[str] = [a.name for a in deliver]
-        label_of = {a.name: a.label_id for a in deliver}
-        self._deliver_kernels = tuple(getattr(self, a.kernel) for a in deliver)
-        self.ch: list[dict[int, int]] = [dict() for _ in range(n)]
-        for i, pid in enumerate(self.pids):
-            store = self.ch[i]
-            for msg in engine.channels[pid]:
-                store[msg.seq] = self._encode_msg(msg, label_of)
-        self._label_of = label_of
+        # Channels: per-slot insertion-ordered {seq: packed record}.
+        self.labels: list[str] = list(_LABELS)
+        self._label_of = {label: i for i, label in enumerate(_LABELS)}
+        self._deliver_kernels = (self._present_kernel, self._forward_kernel)
+        self.ch: list[dict[int, int]] = [
+            {msg.seq: self._encode_msg(msg, self._label_of) for msg in engine.channels[pid]}
+            for pid in self.pids
+        ]
 
         # Edge multiset totals + incoming adjacency, built by the LiveGraph
         # scan order (explicit stores first, then channel content; gone
@@ -408,56 +370,23 @@ class EngineCore:
         #: counters of reaped slots so exports stay lossless.
         self.free_slots: list[int] = []
         self.dead_pins: dict[int, int] = {}
-        self.archived_stats: dict[str, dict[int, int]] = {
-            "timeouts_by": {},
-            "deliveries_by": {},
-            "sent_by": {},
-            "received_by": {},
-        }
+        self.archived_stats: dict[str, dict[int, int]] = {name: {} for name in _TALLIES}
         self.phi = 0
         self.edge_total = 0
-        self.pending = 0
+        self.pending = sum(len(c) for c in self.ch)
         for i in range(n):
-            self.pending += len(self.ch[i])
             if self.state_[i] == _GONE:
                 self._pin_holdings(i, 1)
-                continue
-            for v, bel in self.N[i].items():
-                self._edge(i, v, _STAYING if bel == _NONE else bel, 1)
-            a = self.anchor_[i]
-            if a >= 0:
-                ab = self.abelief_[i]
-                self._edge(i, a, _STAYING if ab == _NONE else ab, 1)
-            if self.is_fsp:
-                for v, bel in self.parked[i].items():
-                    self._edge(i, v, _STAYING if bel == _NONE else bel, 1)
-            for rec in self.ch[i].values():
-                subj = ((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1
-                if subj >= 0:
-                    bel = (rec >> _BEL_SHIFT) & 3
-                    self._edge(i, subj, _STAYING if bel == _NONE else bel, 1)
+            else:
+                self._out_edges(i, 1)
 
         # Counters, copied from the engine's current position.
-        stats = engine.stats
-        self.steps = engine.step_count
-        self.stat_steps = stats.steps
-        self.timeouts = stats.timeouts
-        self.deliveries = stats.deliveries
-        self.posted = stats.messages_posted
-        self.dropped = stats.dropped_unknown
-        self.dropped_gone = stats.dropped_gone
-        self.bounced = stats.bounced
-        self.exits = stats.exits
-        self.sleeps = stats.sleeps
-        self.wakes = stats.wakes
-        self.oq = stats.oracle_queries
-        self.otrue = stats.oracle_true
-        self.timeouts_by = self._by_list(stats.timeouts_by, n, "timeouts_by")
-        self.deliveries_by = self._by_list(stats.deliveries_by, n, "deliveries_by")
-        self.sent_by = self._by_list(stats.sent_by, n, "sent_by")
-        self.received_by = self._by_list(stats.received_by, n, "received_by")
-        self.clock = engine._clock  # noqa: SLF001
-        self.next_seq = engine._msg_seq  # noqa: SLF001
+        if engine._lifecycle_stale:  # noqa: SLF001
+            engine._recount_lifecycle()  # noqa: SLF001
+        for name, owner, attr in _engine_side(engine):
+            setattr(self, name, getattr(owner, attr))
+        for name in _TALLIES:
+            setattr(self, name, self._by_list(getattr(engine.stats, name), n, name))
         # posted/pending bases: both counters move in lockstep with
         # next_seq/deliveries/dropped, so the hot path skips their
         # read-modify-writes and _sync_flow recomputes them on demand.
@@ -466,10 +395,6 @@ class EngineCore:
         self._pending0 = self.pending
         self._del0 = self.deliveries
         self._drop0 = self.dropped
-        self.asleep = engine.asleep_count
-        self.gone = engine.gone_count
-        self.last_progress = engine._last_progress_step  # noqa: SLF001
-        self.last_phi_seen = engine._last_phi_seen  # noqa: SLF001
         #: action cursor: the step index at which each slot last executed
         #: an action (timeout or delivery) — new SoA-only observability.
         self.last_acted = [-1] * n
@@ -497,6 +422,55 @@ class EngineCore:
             else:
                 arr[slot] = count
         return arr
+
+    def _tally(self, name: str) -> dict[int, int]:
+        """Per-pid tally *name* as the engine keeps it (pid → count),
+        the archive of reaped pids included."""
+        d = dict(self.archived_stats[name])
+        pids = self.pids
+        for i, c in enumerate(getattr(self, name)):
+            if c and pids[i] is not None:
+                d[pids[i]] = c
+        return d
+
+    def _encode_stores(self, proc: Any) -> tuple:
+        """*proc*'s stores in the int domain: (N, anchor slot, anchor
+        belief, parked, anchor_verified, anchor_probe_sent).
+
+        Raises :class:`CoreUnsupported` for a self-reference or for a
+        reference to a pid without a slot, before anything is written.
+        """
+        pid = proc.pid
+        slot_of = self.slot_of
+        nd = {_slot(r, pid, slot_of, "stored"): _code(b) for r, b in proc.N.items()}
+        anchor = proc.anchor
+        aslot = -1 if anchor is None else _slot(anchor, pid, slot_of, "anchored")
+        abel = _code(proc.anchor_belief)
+        if not self.is_fsp:
+            return nd, aslot, abel, None, 0, 0
+        pk = {_slot(r, pid, slot_of, "parked"): _code(b) for r, b in proc.parked.items()}
+        return (
+            nd,
+            aslot,
+            abel,
+            pk,
+            1 if proc.anchor_verified else 0,
+            1 if proc.anchor_probe_sent else 0,
+        )
+
+    def _fill_slot(self, u: int, proc: Any, stores: tuple) -> None:
+        """Write *proc*'s mode, lifecycle state and encoded *stores*
+        (:meth:`_encode_stores`) into slot *u*; no edge deltas."""
+        nd, aslot, abel, pk, verified, probe = stores
+        self.mode_[u] = _LEAVING if proc.mode is Mode.LEAVING else _STAYING
+        self.state_[u] = _STATE_BY_CODE.index(proc.state)
+        self.N[u] = nd
+        self.anchor_[u] = aslot
+        self.abelief_[u] = abel
+        if self.is_fsp:
+            self.parked[u] = pk
+            self.averified_[u] = verified
+            self.aprobe_[u] = probe
 
     def _encode_msg(self, msg: Message, label_of: dict[str, int]) -> int:
         label_id = label_of.get(msg.label)
@@ -543,24 +517,26 @@ class EngineCore:
         if nb != self.mode_[dst]:
             self.phi += count
 
-    def _purge_out_edges(self, u: int) -> None:
-        """Exit delta: the slot's out-edges (explicit and implicit) leave
-        the process graph; the underlying stores stay physically intact,
-        exactly like the object model's gone processes."""
+    def _out_edges(self, u: int, delta: int) -> None:
+        """Apply the slot's out-edges (explicit stores, then channel
+        subjects) to the edge multiset with multiplicity *delta*: +1 at
+        construction and admit, -1 at exit. An exit leaves the underlying
+        stores physically intact, exactly like the object model's gone
+        processes."""
         for v, bel in self.N[u].items():
-            self._edge(u, v, _STAYING if bel == _NONE else bel, -1)
+            self._edge(u, v, _STAYING if bel == _NONE else bel, delta)
         a = self.anchor_[u]
         if a >= 0:
             ab = self.abelief_[u]
-            self._edge(u, a, _STAYING if ab == _NONE else ab, -1)
+            self._edge(u, a, _STAYING if ab == _NONE else ab, delta)
         if self.is_fsp:
             for v, bel in self.parked[u].items():
-                self._edge(u, v, _STAYING if bel == _NONE else bel, -1)
+                self._edge(u, v, _STAYING if bel == _NONE else bel, delta)
         for rec in self.ch[u].values():
             subj = ((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1
             if subj >= 0:
                 bel = (rec >> _BEL_SHIFT) & 3
-                self._edge(u, subj, _STAYING if bel == _NONE else bel, -1)
+                self._edge(u, subj, _STAYING if bel == _NONE else bel, delta)
 
     # ------------------------------------------------------------------ plumbing
 
@@ -655,7 +631,7 @@ class EngineCore:
             self.gen_[u] += 1
             if sched is not None:
                 sched.notify_gone(self.pids[u], list(self.ch[u]))
-            self._purge_out_edges(u)
+            self._out_edges(u, -1)
             # The purged references stay physically present in the gone
             # slot's stores and channel — convert them to dead pins so
             # their targets cannot be reaped out from under them.
@@ -779,16 +755,10 @@ class EngineCore:
         self._pin_holdings(u, -1)
         self._labels = None
         self._pending0 -= len(self.ch[u])
-        archived = self.archived_stats
-        for name, arr in (
-            ("timeouts_by", self.timeouts_by),
-            ("deliveries_by", self.deliveries_by),
-            ("sent_by", self.sent_by),
-            ("received_by", self.received_by),
-        ):
-            c = arr[u]
-            if c:
-                archived[name][pid] = c
+        for name in _TALLIES:
+            arr = getattr(self, name)
+            if arr[u]:
+                self.archived_stats[name][pid] = arr[u]
                 arr[u] = 0
         self.N[u] = {}
         self.ch[u] = {}
@@ -824,40 +794,7 @@ class EngineCore:
             raise CoreUnsupported(
                 f"admitted process type {type(proc).__name__} is not mirrored"
             )
-        slot_of = self.slot_of
-        nd_enc: dict[int, int] = {}
-        for ref, belief in proc.N.items():
-            rpid = ref._pid  # noqa: SLF001
-            if rpid == pid:
-                raise CoreUnsupported(f"self-reference stored by pid {pid}")
-            v = slot_of.get(rpid)
-            if v is None:
-                raise CoreUnsupported(
-                    f"admitted process references unknown pid {rpid}"
-                )
-            nd_enc[v] = _code(belief)
-        anchor = proc.anchor
-        abel = _code(proc.anchor_belief)
-        if anchor is None:
-            aslot = -1
-        else:
-            apid = anchor._pid  # noqa: SLF001
-            if apid == pid:
-                raise CoreUnsupported(f"self-anchor stored by pid {pid}")
-            aslot = slot_of.get(apid, -1)
-            if aslot < 0:
-                raise CoreUnsupported("admitted process anchors unknown pid")
-        if self.is_fsp:
-            pk_enc: dict[int, int] = {}
-            for ref, belief in proc.parked.items():
-                rpid = ref._pid  # noqa: SLF001
-                if rpid == pid:
-                    raise CoreUnsupported(f"self-reference parked by pid {pid}")
-                v = slot_of.get(rpid)
-                if v is None:
-                    raise CoreUnsupported("admitted process parks unknown pid")
-                pk_enc[v] = _code(belief)
-
+        stores = self._encode_stores(proc)  # raises before a slot is taken
         free = self.free_slots
         if free:
             u = free.pop()
@@ -888,29 +825,13 @@ class EngineCore:
             self.ch.append({})
             self.in_.append({})
             self.last_acted.append(-1)
-            self.timeouts_by.append(0)
-            self.deliveries_by.append(0)
-            self.sent_by.append(0)
-            self.received_by.append(0)
-        slot_of[pid] = u
+            for name in _TALLIES:
+                getattr(self, name).append(0)
+        self.slot_of[pid] = u
         self._labels = None
-        self.mode_[u] = _LEAVING if proc.mode is Mode.LEAVING else _STAYING
-        self.state_[u] = _AWAKE
-        nd = self.N[u]
-        for v, bel in nd_enc.items():
-            nd[v] = bel
-            self._edge(u, v, _STAYING if bel == _NONE else bel, 1)
-        self.anchor_[u] = aslot
-        self.abelief_[u] = abel
-        if aslot >= 0:
-            self._edge(u, aslot, _STAYING if abel == _NONE else abel, 1)
-        if self.is_fsp:
-            pk = self.parked[u]
-            for v, bel in pk_enc.items():
-                pk[v] = bel
-                self._edge(u, v, _STAYING if bel == _NONE else bel, 1)
-            self.averified_[u] = 1 if proc.anchor_verified else 0
-            self.aprobe_[u] = 1 if proc.anchor_probe_sent else 0
+        self._fill_slot(u, proc, stores)
+        self._out_edges(u, 1)
+        self.last_progress = self.steps  # Engine.admit marks progress too
         # The engine's scheduler wake consumes one freshness stamp.
         self.clock += 1
 
@@ -1645,46 +1566,17 @@ class EngineCore:
             )
 
     def _check_step(self, engine: Engine, executed: Any, u: int) -> None:
-        self._sync_flow()
-        stats = engine.stats
-        mismatches = []
-        state = engine.processes[executed.pid].state
-        want = (
-            _GONE if state is PState.GONE else _ASLEEP if state is PState.ASLEEP else _AWAKE
-        )
+        """Per-step cross-check: every :data:`_COUNTERS` scalar, Φ,
+        pending and edge totals (while the live graph is current) and the
+        acting process's lifecycle state. The O(n) per-pid tallies wait
+        for :meth:`verify_full`."""
+        mismatches = self._counter_mismatches(engine)
+        want = _STATE_BY_CODE.index(engine.processes[executed.pid].state)
         if self.state_[u] != want:
             mismatches.append(f"state[{executed.pid}]: core={self.state_[u]} obj={want}")
-        pairs = (
-            ("steps", self.steps, engine.step_count),
-            ("seq", self.next_seq, engine._msg_seq),  # noqa: SLF001
-            ("clock", self.clock, engine._clock),  # noqa: SLF001
-            ("posted", self.posted, stats.messages_posted),
-            ("timeouts", self.timeouts, stats.timeouts),
-            ("deliveries", self.deliveries, stats.deliveries),
-            ("dropped", self.dropped, stats.dropped_unknown),
-            ("dropped_gone", self.dropped_gone, stats.dropped_gone),
-            ("bounced", self.bounced, stats.bounced),
-            ("exits", self.exits, stats.exits),
-            ("sleeps", self.sleeps, stats.sleeps),
-            ("wakes", self.wakes, stats.wakes),
-            ("oracle_queries", self.oq, stats.oracle_queries),
-            ("oracle_true", self.otrue, stats.oracle_true),
-        )
-        for name, got, want_v in pairs:
-            if got != want_v:
-                mismatches.append(f"{name}: core={got} obj={want_v}")
         live = engine._live  # noqa: SLF001
         if live is not None and not engine._live_stale:  # noqa: SLF001
-            if self.phi != live.phi:
-                mismatches.append(f"phi: core={self.phi} obj={live.phi}")
-            if self.pending != live.pending_total:
-                mismatches.append(
-                    f"pending: core={self.pending} obj={live.pending_total}"
-                )
-            if self.edge_total != live.edge_total:
-                mismatches.append(
-                    f"edges: core={self.edge_total} obj={live.edge_total}"
-                )
+            mismatches += self._total_mismatches(live)
         if mismatches:
             raise StateViolation(
                 "struct-of-arrays core diverged from the object engine at "
@@ -1692,13 +1584,36 @@ class EngineCore:
                 + "; ".join(mismatches)
             )
 
+    def _counter_mismatches(self, engine: Engine) -> list[str]:
+        """One line per :data:`_COUNTERS` row whose core value differs
+        from the engine's."""
+        self._sync_flow()
+        if engine._lifecycle_stale:  # noqa: SLF001
+            engine._recount_lifecycle()  # noqa: SLF001
+        return [
+            f"{attr}: core={getattr(self, name)} obj={getattr(owner, attr)}"
+            for name, owner, attr in _engine_side(engine)
+            if getattr(self, name) != getattr(owner, attr)
+        ]
+
+    def _total_mismatches(self, live: Any) -> list[str]:
+        """Φ, edge and pending totals against the live graph's."""
+        return [
+            f"{name}: core={got} obj={want}"
+            for name, got, want in (
+                ("phi", self.phi, live.phi),
+                ("edges", self.edge_total, live.edge_total),
+                ("pending", self.pending, live.pending_total),
+            )
+            if got != want
+        ]
+
     # ------------------------------------------------------------------ deep verify
 
     def verify_full(self, engine: Engine) -> None:
         """Deep structural comparison against the object model; raises
         :class:`~repro.errors.StateViolation` listing every mismatch."""
-        self._sync_flow()
-        mismatches: list[str] = []
+        mismatches = self._counter_mismatches(engine)
         slot_of = self.slot_of
         want_pop = {p for p in self.pids if p is not None}
         if set(engine.processes) != want_pop:
@@ -1709,10 +1624,7 @@ class EngineCore:
             if pid is None:
                 continue
             proc = engine.processes[pid]
-            st = proc.state
-            want = (
-                _GONE if st is PState.GONE else _ASLEEP if st is PState.ASLEEP else _AWAKE
-            )
+            want = _STATE_BY_CODE.index(proc.state)
             if self.state_[i] != want:
                 mismatches.append(f"pid {pid} state: {self.state_[i]} != {want}")
             obj_n = [
@@ -1746,41 +1658,9 @@ class EngineCore:
             want_ch = [(m.seq, self._encode_msg(m, self._label_of)) for m in chan]
             if got != want_ch:
                 mismatches.append(f"pid {pid} channel: {got} != {want_ch}")
-        stats = engine.stats
-        scalar_pairs = (
-            ("steps", self.steps, engine.step_count),
-            ("stat_steps", self.stat_steps, stats.steps),
-            ("seq", self.next_seq, engine._msg_seq),  # noqa: SLF001
-            ("clock", self.clock, engine._clock),  # noqa: SLF001
-            ("posted", self.posted, stats.messages_posted),
-            ("timeouts", self.timeouts, stats.timeouts),
-            ("deliveries", self.deliveries, stats.deliveries),
-            ("dropped", self.dropped, stats.dropped_unknown),
-            ("dropped_gone", self.dropped_gone, stats.dropped_gone),
-            ("bounced", self.bounced, stats.bounced),
-            ("exits", self.exits, stats.exits),
-            ("sleeps", self.sleeps, stats.sleeps),
-            ("wakes", self.wakes, stats.wakes),
-            ("oracle_queries", self.oq, stats.oracle_queries),
-            ("oracle_true", self.otrue, stats.oracle_true),
-            ("asleep", self.asleep, engine.asleep_count),
-            ("gone", self.gone, engine.gone_count),
-        )
-        for name, got_v, want_v in scalar_pairs:
-            if got_v != want_v:
-                mismatches.append(f"{name}: core={got_v} obj={want_v}")
-        for name, arr, by in (
-            ("timeouts_by", self.timeouts_by, stats.timeouts_by),
-            ("deliveries_by", self.deliveries_by, stats.deliveries_by),
-            ("sent_by", self.sent_by, stats.sent_by),
-            ("received_by", self.received_by, stats.received_by),
-        ):
-            want_d = dict(self.archived_stats[name])
-            for i, c in enumerate(arr):
-                if c and self.pids[i] is not None:
-                    want_d[self.pids[i]] = c
-            got_d = {p: c for p, c in by.items() if c}
-            if want_d != got_d:
+        for name in _TALLIES:
+            by = getattr(engine.stats, name)
+            if self._tally(name) != {p: c for p, c in by.items() if c}:
                 mismatches.append(f"{name} differs")
         # Pin-invariant oracle: recount the dead pins from first
         # principles (every reference physically held by a gone slot,
@@ -1807,17 +1687,7 @@ class EngineCore:
             mismatches.append(
                 f"dead_pins: running={self.dead_pins} recount={want_pins}"
             )
-        live = engine.live_graph
-        if self.phi != live.phi:
-            mismatches.append(f"phi: core={self.phi} obj={live.phi}")
-        if self.edge_total != live.edge_total:
-            mismatches.append(
-                f"edges: core={self.edge_total} obj={live.edge_total}"
-            )
-        if self.pending != live.pending_total:
-            mismatches.append(
-                f"pending: core={self.pending} obj={live.pending_total}"
-            )
+        mismatches += self._total_mismatches(engine.live_graph)
         if mismatches:
             raise StateViolation(
                 "struct-of-arrays core state diverged from the object model: "
@@ -1841,39 +1711,11 @@ class EngineCore:
         engine._live_stale = True  # noqa: SLF001
         engine._stale = True  # noqa: SLF001
         engine._snapshot_cache = None  # noqa: SLF001
-        stats = engine.stats
-        stats.steps = self.stat_steps
-        stats.timeouts = self.timeouts
-        stats.deliveries = self.deliveries
-        stats.messages_posted = self.posted
-        stats.dropped_unknown = self.dropped
-        stats.dropped_gone = self.dropped_gone
-        stats.bounced = self.bounced
-        stats.exits = self.exits
-        stats.sleeps = self.sleeps
-        stats.wakes = self.wakes
-        stats.oracle_queries = self.oq
-        stats.oracle_true = self.otrue
-        pids = self.pids
-        for name, arr in (
-            ("timeouts_by", self.timeouts_by),
-            ("deliveries_by", self.deliveries_by),
-            ("sent_by", self.sent_by),
-            ("received_by", self.received_by),
-        ):
-            d = dict(self.archived_stats[name])
-            for i, c in enumerate(arr):
-                if c and pids[i] is not None:
-                    d[pids[i]] = c
-            setattr(stats, name, d)
-        engine.step_count = self.steps
-        engine._clock = self.clock  # noqa: SLF001
-        engine._msg_seq = self.next_seq  # noqa: SLF001
-        engine._asleep_count = self.asleep  # noqa: SLF001
-        engine._gone_count = self.gone  # noqa: SLF001
+        for name, owner, attr in _engine_side(engine):
+            setattr(owner, attr, getattr(self, name))
         engine._lifecycle_stale = False  # noqa: SLF001
-        engine._last_progress_step = self.last_progress  # noqa: SLF001
-        engine._last_phi_seen = self.last_phi_seen  # noqa: SLF001
+        for name in _TALLIES:
+            setattr(engine.stats, name, self._tally(name))
 
     def export_to(self, engine: Engine) -> None:
         """Write the core's whole state back into the object model.

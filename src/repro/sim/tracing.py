@@ -8,14 +8,13 @@ Two instruments, both optional and cheap when unused:
   number of gone processes, pending messages, …) every *k* steps, feeding
   the convergence plots/series of experiments E5–E9.
 
-The standard probes read the engine's O(1) lifecycle counters and live
-graph totals — never ``snapshot()``, never a full process scan — so
-per-sample cost is constant on the incremental observation path. The
-``repro lint`` rule PERF003 guards this invariant for every probe,
-monitor and tracer in the tree. The richer, documented probe registry
-(descriptions, cost annotations, Φ attribution) lives in
-:mod:`repro.obs.metrics`; the dict here is the engine-facing subset it
-wraps.
+A default recorder samples the :data:`DEFAULT_SERIES` probes of the
+one probe registry, :data:`repro.obs.metrics.REGISTRY`. They read the
+engine's O(1) lifecycle counters and live graph totals — never
+``snapshot()``, never a full process scan — so per-sample cost is
+constant on the incremental observation path. The ``repro lint`` rule
+PERF003 guards this invariant for every probe, monitor and tracer in
+the tree.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ __all__ = [
     "DEFAULT_TRACER_CAPACITY",
     "Tracer",
     "SeriesRecorder",
-    "STANDARD_PROBES",
+    "DEFAULT_SERIES",
 ]
 
 #: Default ring-buffer size of :class:`Tracer`: large enough to hold the
@@ -76,48 +75,16 @@ class Tracer:
         return len(self.events)
 
 
-# -- standard probes ----------------------------------------------------------
-#
-# Named module-level functions (not lambdas) so the observation-path lint
-# (PERF003) covers their bodies. Each reads a counter the engine already
-# maintains; none may rebuild a snapshot or scan the process population.
-
-
-def _probe_potential(e: "Engine") -> float:
-    return float(e.potential())
-
-
-def _probe_gone(e: "Engine") -> float:
-    return float(e.gone_count)
-
-
-def _probe_asleep(e: "Engine") -> float:
-    return float(e.asleep_count)
-
-
-def _probe_pending(e: "Engine") -> float:
-    return float(e.pending_count)
-
-
-def _probe_messages_posted(e: "Engine") -> float:
-    return float(e.stats.messages_posted)
-
-
-def _probe_edges(e: "Engine") -> float:
-    return float(e.edge_count)
-
-
-#: Named metric probes a :class:`SeriesRecorder` can sample. Each maps an
-#: engine to a number; recorders may mix standard and custom probes. See
-#: :data:`repro.obs.metrics.REGISTRY` for the documented catalog.
-STANDARD_PROBES: dict[str, Callable[["Engine"], float]] = {
-    "potential": _probe_potential,
-    "gone": _probe_gone,
-    "asleep": _probe_asleep,
-    "pending_messages": _probe_pending,
-    "messages_posted": _probe_messages_posted,
-    "edges": _probe_edges,
-}
+#: Registry names a default :class:`SeriesRecorder` samples; their
+#: functions live in :data:`repro.obs.metrics.REGISTRY`.
+DEFAULT_SERIES: tuple[str, ...] = (
+    "potential",
+    "gone",
+    "asleep",
+    "pending_messages",
+    "messages_posted",
+    "edges",
+)
 
 
 class SeriesRecorder:
@@ -136,7 +103,13 @@ class SeriesRecorder:
     ) -> None:
         if every < 1:
             raise ValueError("every must be >= 1")
-        self.probes = dict(probes) if probes is not None else dict(STANDARD_PROBES)
+        if probes is None:
+            # The registry is an observer catalog; the engine itself never
+            # imports repro.obs.
+            from repro.obs.metrics import REGISTRY
+
+            probes = {name: REGISTRY[name].fn for name in DEFAULT_SERIES}
+        self.probes = dict(probes)
         self.every = every
         self.steps: list[int] = []
         self.series: dict[str, list[float]] = {name: [] for name in self.probes}

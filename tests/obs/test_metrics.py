@@ -16,7 +16,7 @@ from repro.obs.metrics import (
     standard_probe_fns,
     top_phi,
 )
-from repro.sim.tracing import STANDARD_PROBES
+from repro.sim.tracing import DEFAULT_SERIES, SeriesRecorder
 
 
 def corrupted_engine(seed=7):
@@ -34,7 +34,10 @@ def corrupted_engine(seed=7):
 
 class TestRegistry:
     def test_covers_standard_probes(self):
-        assert set(STANDARD_PROBES) <= set(REGISTRY)
+        # a default recorder samples registry probes, the functions included
+        probes = SeriesRecorder().probes
+        assert tuple(probes) == DEFAULT_SERIES
+        assert all(probes[name] is REGISTRY[name].fn for name in DEFAULT_SERIES)
 
     def test_every_probe_documented(self):
         for probe in REGISTRY.values():

@@ -52,6 +52,7 @@ from repro.graphs import generators as gen
 from repro.graphs.connectivity import bfs_shortest_path, hop_distance
 from repro.errors import StateViolation, UnknownActionError
 from repro.sim.engine import Engine
+from repro.sim.messages import RefInfo
 from repro.sim.refs import pid_of
 from repro.sim.soa import EngineCore
 from repro.sim.states import Mode, PState
@@ -411,28 +412,49 @@ class _UnmirroredJoiner(FDPProcess):
     """An FDP subclass: the engine admits it, the core cannot mirror it."""
 
 
-def test_core_dropped_inside_predicate_leaves_objects_exported():
+def _admit_unmirrored(e: Engine) -> None:
+    """Admit a joiner the core cannot mirror: the core is dropped."""
+    # The contact's ref comes from the private dict, so that admit
+    # dropping the core is what completes the export.
+    contact = e._processes[min(e.staying_pids())].self_ref
+    e.admit(_UnmirroredJoiner(1_000, Mode.STAYING, neighbors=[contact]))
+    if e.engine_mode == "soa":
+        assert not e.core_status["active"]
+        assert not e._export_pending
+
+
+def _post_present(e: Engine) -> None:
+    """Plant one message out-of-band: the core is marked stale."""
+    ref = e._processes[min(e.staying_pids())].self_ref
+    e.post(None, ref, "present", (RefInfo(ref, Mode.STAYING),))
+    if e.engine_mode == "soa":
+        assert e.core_status["active"] and e._core_stale
+        assert not e._export_pending
+
+
+@pytest.mark.parametrize("poke", [_admit_unmirrored, _post_present], ids=["admit", "post"])
+def test_core_dropped_inside_predicate_leaves_objects_exported(poke):
+    """A predicate that drops or stales the core runs once per boundary
+    in every mode, and the rest of the run ends in the object loop's
+    state."""
     finals = {}
-    for mode in ("objects", "soa"):
+    boundaries = {}
+    for mode in ("objects", "soa", "verify"):
         engine = _build("fdp", 4, "random", mode=mode, n=16)
         calls = []
 
         def until(e: Engine, calls=calls) -> bool:
             calls.append(e.step_count)
-            if len(calls) == 3:
-                # The contact's ref comes from the private dict, so that
-                # admit dropping the core is what completes the export.
-                contact = e._processes[min(e.staying_pids())].self_ref
-                e.admit(_UnmirroredJoiner(1_000, Mode.STAYING, neighbors=[contact]))
-                if e.engine_mode == "soa":
-                    assert not e.core_status["active"]
-                    assert not e._export_pending
+            if e.step_count == 100:
+                poke(e)
             return False
 
         engine.run(3_000, until=until, check_every=50)
-        assert len(calls) > 3
+        boundaries[mode] = calls
         finals[mode] = final_state(engine)
-    assert finals["soa"] == finals["objects"]
+    assert boundaries["objects"] == list(range(0, 3_001, 50))
+    assert boundaries["soa"] == boundaries["verify"] == boundaries["objects"]
+    assert finals["soa"] == finals["verify"] == finals["objects"]
 
 
 def test_churn_run_on_the_core_never_exports(monkeypatch):

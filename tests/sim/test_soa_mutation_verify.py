@@ -4,15 +4,17 @@ Each mutation here textually seeds a real mirror bug into a copy of
 ``src/repro/sim/soa.py`` — the core drops a counter flush, posts the
 wrong message label, skips the generation bump on departure, resets a
 recycled slot's generation, overlaps two packed-record fields,
-registers a misspelt kernel, loses a send from the scheduler pool,
-labels components without one of its in-edges, or walks a slot's
-neighbours without its channel subjects —
+dispatches deliveries to a misspelt kernel, loses a send from the
+scheduler pool, drops a progress mark, labels components without one
+of its in-edges, or walks a slot's neighbours without its channel
+subjects —
 swaps the mutated ``EngineCore`` in, and asserts that the named oracle
 rejects it:
 
 * ``verify`` — an engine under ``engine_mode="verify"`` raises on its
-  first divergent step (or, for a broken registry, while building the
-  core). Its predicate asks the engine's query facade for Φ, partners,
+  first divergent step (or, for a misspelt kernel, while building the
+  core). It compares every counter the core exports, the progress
+  marks included. Its predicate asks the engine's query facade for Φ, partners,
   hop distances, connectivity and the legitimacy clauses every 13
   steps, and verify mode cross-checks each answer against the core's,
   so a bug in a core query (the component labelling skipping an
@@ -20,7 +22,7 @@ rejects it:
   too;
 * ``soa_vs_objects`` — bugs inside ``run_batch``, which verify mode never
   calls: the same run on ``engine_mode="soa"`` ends with different
-  statistics than on the object loop;
+  statistics or progress diagnostics than on the object loop;
 * ``recycle`` — the slot-recycle test of ``tests/sim/test_soa_slots.py``
   fails. Both cores agree on every pid-level observable under that bug,
   so only the slot bookkeeping itself can see it.
@@ -79,8 +81,14 @@ MUTATIONS = [
     ),
     (
         "registry_kernel_typo",
-        'kernel="_forward_kernel"',
-        'kernel="_forward_kernal"',
+        "(self._present_kernel, self._forward_kernel)",
+        "(self._present_kernel, self._forward_kernal)",
+        "verify",
+    ),
+    (
+        "step_progress_mark_dropped",
+        "            self.last_progress = self.steps\n",
+        "",
         "verify",
     ),
     (
@@ -99,6 +107,12 @@ MUTATIONS = [
     (
         "batch_delivery_flush_dropped",
         "            self.deliveries += dcount\n",
+        "",
+        "soa_vs_objects",
+    ),
+    (
+        "batch_progress_mark_dropped",
+        "                    lprog = steps\n",
         "",
         "soa_vs_objects",
     ),
@@ -162,8 +176,8 @@ def _verify_catches() -> bool:
     for seed in range(8):
         engine = _build(seed, "verify")
         try:
-            engine.attach()  # builds the core from the registry
-        except AttributeError:  # a registry row naming no kernel
+            engine.attach()  # builds the core and its kernel dispatch
+        except AttributeError:  # a dispatch entry naming no kernel
             return True
         try:
             engine.run(3000, until=_ask_queries, check_every=13)
@@ -177,8 +191,13 @@ def _soa_diverges_from_objects() -> bool:
         outcomes = []
         for mode in ("objects", "soa"):
             engine = _build(seed, mode)
-            engine.run(3000, check_every=13)
-            outcomes.append((engine.step_count, engine.stats.as_dict()))
+            # Diagnostics after every 100-step run, not only at the end:
+            # a converged run's last progress is an exit both cores mark.
+            trail = []
+            for _ in range(30):
+                engine.run(100)
+                trail.append(engine.progress_diagnostics())
+            outcomes.append((engine.stats.as_dict(), trail))
         if outcomes[0] != outcomes[1]:
             return True
     return False

@@ -8,13 +8,13 @@ from repro.core.scenarios import (
     choose_leaving,
 )
 from repro.graphs import generators as gen
+from repro.obs.metrics import REGISTRY
 from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.sim.scheduler import OldestFirstScheduler
 from repro.sim.states import Capability, Mode, PState
 from repro.sim.tracing import (
     DEFAULT_TRACER_CAPACITY,
-    STANDARD_PROBES,
     SeriesRecorder,
     Tracer,
 )
@@ -192,5 +192,5 @@ class TestProbesMatchRebuildSnapshot:
                 "messages_posted": float(engine.stats.messages_posted),
             }
             for name, want in expect.items():
-                assert STANDARD_PROBES[name](engine) == want, name
+                assert REGISTRY[name](engine) == want, name
         assert engine.gone_count > 0  # the scenario exercised lifecycle
