@@ -362,11 +362,15 @@ class TrialFabric:
         attempt = 0
         while pending:
             pool = self._ensure_pool()
-            futures = [
-                pool.submit(_run_chunk, (index, spec, chunk))
-                for index, chunk in sorted(pending.items())
-            ]
+            futures = []
             broken = False
+            try:
+                for index, chunk in sorted(pending.items()):
+                    futures.append(pool.submit(_run_chunk, (index, spec, chunk)))
+            except BrokenProcessPool:
+                # a worker died before every chunk was handed out; the
+                # unsubmitted chunks stay pending like the lost ones
+                broken = True
             for fut in as_completed(futures):
                 try:
                     index, results = fut.result()

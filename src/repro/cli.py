@@ -1099,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="static model-conformance/determinism analysis (docs/LINT.md)",
+        help="static model-conformance analysis (docs/LINT.md)",
     )
     p.add_argument("paths", nargs="*", default=["src"], help="files or directories")
     p.add_argument(

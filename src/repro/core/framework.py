@@ -209,7 +209,7 @@ class FrameworkProcess(FDPProcess):
             # message; each RefInfo IS the piggybacked belief the model
             # requires the message to carry, not incidental copying.
             wrapped = tuple(
-                RefInfo(a, entry.modes.get(a, self.mode))  # repro: noqa[PERF004]
+                RefInfo(a, entry.modes.get(a, self.mode))
                 if isinstance(a, Ref)
                 else a
                 for a in entry.args

@@ -1,10 +1,11 @@
-"""``repro lint`` — AST-based model-conformance and determinism analyzer.
+"""``repro lint`` — AST-based model-conformance analyzer.
 
 Static checks (stdlib ``ast`` only, no third-party dependencies) that
-enforce the invariants the reproduction's correctness arguments rest on:
-the copy-store-send reference discipline and reversal bookkeeping
-(REF0xx), hot-path determinism (DET0xx), the PR 2 allocation-free step
-loop (PERF0xx), and the class-𝒫 interaction grammar (API0xx).
+enforce the paper's model, which no executed test states: the
+copy-store-send reference discipline and reversal bookkeeping (REF0xx)
+and the class-𝒫 interaction grammar (API0xx). Determinism and step-path
+cost are checked by running the code instead (docs/LINT.md "Retired
+rules").
 
 See docs/LINT.md for the rule catalogue and suppression syntax
 (``# repro: noqa[REF002]``).

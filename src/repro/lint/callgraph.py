@@ -1,80 +1,32 @@
-"""Import-graph and call-graph index used to scope the analyzer's rules.
+"""Class-hierarchy index used to scope the analyzer's rules.
 
-Three whole-program questions the per-file rules cannot answer alone:
-
-* **Which modules are protocol code?** Modules defining a (transitive)
-  subclass of ``Process`` or ``OverlayLogic`` — resolved by class-name
-  hierarchy analysis, so a standalone fixture file that writes
-  ``class Bad(FDPProcess): ...`` is classified without imports resolving.
-* **Which modules are on the engine hot path?** The transitive import
-  closure of the hot seeds (``repro.sim.engine`` plus the per-step
-  observation/oracle modules) together with the protocol modules. The
-  determinism rules only fire there: wall-clock reads in an offline
-  analysis script are fine, in the step loop they are not.
-* **Which functions run inside ``Engine.step``?** A name-based CHA
-  (class-hierarchy-analysis) call graph: an edge ``f → g`` exists when
-  ``f`` contains a call whose callee's bare name matches ``g``. Dynamic
-  dispatch (``proc.timeout(ctx)``, ``self.logic.p_timeout(...)``) is
-  exactly what the engine does, so matching by bare attribute name is
-  the right over-approximation. Roots are ``Engine.step`` and every
-  action method of a protocol class (``timeout``/``on_*``/``handle*`` —
-  the engine invokes those through pooled dispatch tables the name
-  matcher cannot see through).
-
-Over-approximation is deliberate: the hot-path rules guard invariants
-(``__slots__``, no per-call closures) that are cheap to satisfy, so a
-few extra reachable functions cost nothing, while under-approximation
-would silently stop guarding the PR 2 allocation-free step loop.
+One whole-program question the per-file rules cannot answer alone:
+**which classes, and so which modules, are protocol code?** A class is
+protocol code when its (transitive) base chain reaches ``Process`` or
+``OverlayLogic``. Bases are resolved by bare class name across the
+whole file set, so a standalone fixture file that writes
+``class Bad(FDPProcess): ...`` is classified without imports resolving.
+The REF rules run only in protocol modules, and API002 only in
+``OverlayLogic`` subclasses.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterable
 
 from repro.lint.model import Module, attr_chain
 
-__all__ = ["ClassInfo", "FuncInfo", "Project"]
-
-#: modules whose import closure is the engine hot path. ``oracles`` and
-#: ``monitors`` run inside atomic actions via dynamic dispatch, which the
-#: import closure of ``engine`` alone would miss.
-HOT_SEED_MODULES = (
-    "repro.sim.engine",
-    "repro.core.oracles",
-    "repro.sim.monitors",
-)
+__all__ = ["ClassInfo", "Project"]
 
 #: base-class names that make a class "protocol code".
 PROTOCOL_BASES = frozenset({"Process", "OverlayLogic"})
 
-#: methods the engine reaches via dispatch tables (call-graph roots).
-_ACTION_NAME_RE = re.compile(r"^(on_|handle|_handle|timeout$|p_timeout$)")
-
-#: (class, method) entry points of the SoA execution core. The engine
-#: swaps ``step()`` for these per-population batch drivers when a
-#: protocol is core-eligible, so they are step-loop roots in their own
-#: right — without them the whole int-kernel side of soa.py sat outside
-#: ``step_reachable`` and the PERF hot-path rules silently skipped it.
-CORE_ENTRY_POINTS = frozenset(
-    {
-        ("EngineCore", "run_batch"),
-        ("EngineCore", "mirror_step"),
-    }
-)
-
-_ENUM_LIKE = frozenset(
-    {"Enum", "IntEnum", "StrEnum", "Flag", "IntFlag", "NamedTuple", "Protocol", "ABC"}
-)
-_EXC_LIKE = frozenset({"Exception", "BaseException"})
-_EXC_NAME_RE = re.compile(r"(Error|Exception|Violation|Warning)$")
-
 
 class ClassInfo:
-    """One class definition: bases, slots declaration, location."""
+    """One class definition: its bases and location."""
 
-    __slots__ = ("module", "name", "qualname", "node", "base_names", "has_slots")
+    __slots__ = ("module", "name", "qualname", "node", "base_names")
 
     def __init__(self, module: Module, node: ast.ClassDef, qualname: str):
         self.module = module
@@ -86,158 +38,28 @@ class ClassInfo:
             chain = attr_chain(base)
             if chain:
                 self.base_names.append(chain)
-        self.has_slots = self._detect_slots(node)
-
-    @staticmethod
-    def _detect_slots(node: ast.ClassDef) -> bool:
-        for stmt in node.body:
-            targets: list[ast.expr] = []
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            elif isinstance(stmt, ast.AnnAssign):
-                targets = [stmt.target]
-            for tgt in targets:
-                if isinstance(tgt, ast.Name) and tgt.id == "__slots__":
-                    return True
-        for deco in node.decorator_list:
-            if isinstance(deco, ast.Call):
-                name = attr_chain(deco.func)
-                if name and name.split(".")[-1] == "dataclass":
-                    for kw in deco.keywords:
-                        if (
-                            kw.arg == "slots"
-                            and isinstance(kw.value, ast.Constant)
-                            and kw.value.value is True
-                        ):
-                            return True
-        return False
-
-
-class FuncInfo:
-    """One function/method: bare callee names and nested definitions."""
-
-    __slots__ = ("module", "name", "qualname", "node", "cls", "callees", "nested")
-
-    def __init__(
-        self,
-        module: Module,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        qualname: str,
-        cls: str | None,
-    ):
-        self.module = module
-        self.name = node.name
-        self.qualname = qualname
-        self.node = node
-        self.cls = cls
-        self.callees: set[str] = set()
-        self.nested: list[str] = []  # qualnames of directly nested defs
-
-
-def _own_statements(node: ast.AST) -> Iterable[ast.AST]:
-    """Walk a function body without descending into nested def/class."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(child))
 
 
 class Project:
-    """Whole-program index over a set of parsed modules."""
+    """Whole-program class index over a set of parsed modules."""
 
     def __init__(self, modules: Iterable[Module]):
         self.modules: dict[str, Module] = {m.name: m for m in modules}
-        self.imports: dict[str, set[str]] = {}
-        #: per-module local-name → dotted-target map (imports only).
-        self.aliases: dict[str, dict[str, str]] = {}
         self.classes: dict[str, ClassInfo] = {}  # qualname-keyed
         self.classes_by_name: dict[str, list[ClassInfo]] = {}
-        self.functions: dict[str, FuncInfo] = {}  # qualname-keyed
-        self.functions_by_name: dict[str, list[FuncInfo]] = {}
         for mod in self.modules.values():
-            self._index_module(mod)
+            self._index_classes(mod, mod.tree, prefix=mod.name)
         self._protocol_modules: set[str] | None = None
-        self._hot_modules: set[str] | None = None
-        self._step_reachable: set[str] | None = None
 
-    # ------------------------------------------------------------------ indexing
-
-    def _index_module(self, mod: Module) -> None:
-        imported: set[str] = set()
-        aliases: dict[str, str] = {}
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    imported.add(alias.name)
-                    aliases[alias.asname or alias.name.split(".")[0]] = alias.name
-            elif isinstance(node, ast.ImportFrom):
-                target = node.module or ""
-                if node.level:
-                    parts = mod.name.split(".")
-                    base = parts[: len(parts) - node.level]
-                    target = ".".join([*base, target]) if target else ".".join(base)
-                if target:
-                    imported.add(target)
-                    for alias in node.names:
-                        aliases[alias.asname or alias.name] = f"{target}.{alias.name}"
-        self.imports[mod.name] = {t for t in imported if t in self.modules}
-        self.aliases[mod.name] = aliases
-        self._index_defs(mod, mod.tree, prefix=mod.name, cls=None)
-
-    def _index_defs(
-        self, mod: Module, node: ast.AST, prefix: str, cls: str | None
-    ) -> FuncInfo | None:
-        """Recursively index class and function definitions."""
-        parent_fn: FuncInfo | None = None
+    def _index_classes(self, mod: Module, node: ast.AST, prefix: str) -> None:
+        """Index module-level classes and the classes nested in them."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 qual = f"{prefix}.{child.name}"
                 info = ClassInfo(mod, child, qual)
                 self.classes[qual] = info
                 self.classes_by_name.setdefault(child.name, []).append(info)
-                self._index_defs(mod, child, prefix=qual, cls=child.name)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}.{child.name}"
-                fn = FuncInfo(mod, child, qual, cls)
-                self.functions[qual] = fn
-                self.functions_by_name.setdefault(child.name, []).append(fn)
-                for sub in _own_statements(child):
-                    if isinstance(sub, ast.Call):
-                        chain = attr_chain(sub.func)
-                        if chain:
-                            fn.callees.add(chain.split(".")[-1])
-                    elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        nested = self._index_defs_nested(mod, sub, qual, cls)
-                        fn.nested.append(nested.qualname)
-        return parent_fn
-
-    def _index_defs_nested(
-        self,
-        mod: Module,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        prefix: str,
-        cls: str | None,
-    ) -> FuncInfo:
-        qual = f"{prefix}.<locals>.{node.name}"
-        fn = FuncInfo(mod, node, qual, cls)
-        self.functions[qual] = fn
-        self.functions_by_name.setdefault(node.name, []).append(fn)
-        for sub in _own_statements(node):
-            if isinstance(sub, ast.Call):
-                chain = attr_chain(sub.func)
-                if chain:
-                    fn.callees.add(chain.split(".")[-1])
-            elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested = self._index_defs_nested(mod, sub, qual, cls)
-                fn.nested.append(nested.qualname)
-        return fn
-
-    # ------------------------------------------------------------------ hierarchy
+                self._index_classes(mod, child, prefix=qual)
 
     def mro_reaches(self, cls: ClassInfo, targets: frozenset[str]) -> bool:
         """Whether the (name-resolved) base chain reaches any target name."""
@@ -260,122 +82,15 @@ class Project:
     def is_overlay_logic_class(self, cls: ClassInfo) -> bool:
         return self.mro_reaches(cls, frozenset({"OverlayLogic"}))
 
-    def is_exception_class(self, cls: ClassInfo) -> bool:
-        if _EXC_NAME_RE.search(cls.name):
-            return True
-        seen: set[str] = set()
-        stack = [n.split(".")[-1] for n in cls.base_names]
-        while stack:
-            name = stack.pop()
-            if name in _EXC_LIKE or _EXC_NAME_RE.search(name):
-                return True
-            if name in seen:
-                continue
-            seen.add(name)
-            for info in self.classes_by_name.get(name, ()):
-                stack.extend(n.split(".")[-1] for n in info.base_names)
-        return False
-
-    def is_enum_like(self, cls: ClassInfo) -> bool:
-        return self.mro_reaches(cls, _ENUM_LIKE) or any(
-            b.split(".")[-1] in _ENUM_LIKE for b in cls.base_names
-        )
-
-    # ------------------------------------------------------------------ scoping
-
     @property
     def protocol_modules(self) -> set[str]:
         if self._protocol_modules is None:
-            out: set[str] = set()
-            for cls in self.classes.values():
-                if self.is_protocol_class(cls):
-                    out.add(cls.module.name)
-            self._protocol_modules = out
+            self._protocol_modules = {
+                cls.module.name
+                for cls in self.classes.values()
+                if self.is_protocol_class(cls)
+            }
         return self._protocol_modules
-
-    @property
-    def hot_modules(self) -> set[str]:
-        """Transitive import closure of the hot seeds + protocol modules."""
-        if self._hot_modules is None:
-            seeds = [m for m in HOT_SEED_MODULES if m in self.modules]
-            seeds.extend(self.protocol_modules)
-            closed: set[str] = set()
-            stack = list(seeds)
-            while stack:
-                name = stack.pop()
-                if name in closed:
-                    continue
-                closed.add(name)
-                stack.extend(self.imports.get(name, ()))
-            self._hot_modules = closed
-        return self._hot_modules
-
-    def is_hot(self, module: Module) -> bool:
-        return module.name in self.hot_modules
 
     def is_protocol(self, module: Module) -> bool:
         return module.name in self.protocol_modules
-
-    # ------------------------------------------------------------------ reachability
-
-    @property
-    def step_reachable(self) -> set[str]:
-        """Qualnames of functions reachable from ``Engine.step`` and the
-        protocol action methods, via the name-based call graph."""
-        if self._step_reachable is None:
-            protocol_classes = {
-                cls.name for cls in self.classes.values() if self.is_protocol_class(cls)
-            }
-            protocol_classes.update(PROTOCOL_BASES)
-            roots: list[str] = []
-            for fn in self.functions.values():
-                if fn.cls == "Engine" and fn.name == "step":
-                    roots.append(fn.qualname)
-                elif fn.cls is not None and (fn.cls, fn.name) in CORE_ENTRY_POINTS:
-                    roots.append(fn.qualname)
-                elif fn.cls in protocol_classes and _ACTION_NAME_RE.match(fn.name):
-                    roots.append(fn.qualname)
-            reached: set[str] = set()
-            stack = list(roots)
-            while stack:
-                qual = stack.pop()
-                if qual in reached:
-                    continue
-                reached.add(qual)
-                fn = self.functions.get(qual)
-                if fn is None:
-                    continue
-                stack.extend(fn.nested)
-                for callee in fn.callees:
-                    for target in self.functions_by_name.get(callee, ()):
-                        if target.qualname not in reached:
-                            stack.append(target.qualname)
-            self._step_reachable = reached
-        return self._step_reachable
-
-    def is_step_reachable(self, qualname: str) -> bool:
-        return qualname in self.step_reachable
-
-    # ------------------------------------------------------------------ resolution
-
-    def resolve_class(self, module: Module, call: ast.Call) -> ClassInfo | None:
-        """Resolve a call's callee to a project class, or None."""
-        chain = attr_chain(call.func)
-        if chain is None:
-            return None
-        aliases = self.aliases.get(module.name, {})
-        head = chain.split(".")[0]
-        dotted = chain
-        if head in aliases:
-            dotted = aliases[head] + chain[len(head) :]
-        info = self.classes.get(dotted)
-        if info is not None:
-            return info
-        bare = chain.split(".")[-1]
-        info = self.classes.get(f"{module.name}.{bare}")
-        if info is not None:
-            return info
-        candidates = self.classes_by_name.get(bare, ())
-        if len(candidates) == 1:
-            return candidates[0]
-        return None

@@ -10,8 +10,8 @@ the offline CI smoke jobs). The pieces here are shared by every rule:
 * the ``# repro: noqa[REF002]`` suppression syntax (see docs/LINT.md).
 
 Suppressions are line-scoped and *rule-scoped by prefix*: a comment
-``# repro: noqa[DET004]`` silences exactly that rule on its line,
-``# repro: noqa[DET]`` silences the whole family, and a bare
+``# repro: noqa[REF003]`` silences exactly that rule on its line,
+``# repro: noqa[REF]`` silences the whole family, and a bare
 ``# repro: noqa`` silences everything. Justified suppressions are part
 of the contract — each one in the tree states the invariant that makes
 the flagged code safe.
@@ -38,7 +38,7 @@ __all__ = [
     "rule_registry",
 ]
 
-#: ``# repro: noqa`` or ``# repro: noqa[REF002]`` or ``# repro: noqa[REF, DET004]``.
+#: ``# repro: noqa`` or ``# repro: noqa[REF002]`` or ``# repro: noqa[REF, API003]``.
 #: The bracket group is permissive on purpose: a malformed spec like
 #: ``noqa[ref001]`` must be *seen* (and warned about as LINT002), not
 #: fall back to matching the bare ``noqa`` prefix — the old strict

@@ -9,23 +9,10 @@ pair under tests/lint/fixtures/.
 from __future__ import annotations
 
 from repro.lint.model import Rule
-from repro.lint.rules.determinism import (
-    IdentityKey,
-    SaltedHash,
-    UnseededRandom,
-    UnsortedRefSetIteration,
-    WallClock,
-)
 from repro.lint.rules.grammar import (
     ForeignStateMutation,
     LifecycleOwnership,
     LogicSurface,
-)
-from repro.lint.rules.hotpath import (
-    ClosureOnStepPath,
-    RefKeyedContainerOnStepPath,
-    SlotsOnStepPath,
-    SnapshotInObservationPath,
 )
 from repro.lint.rules.ref_safety import (
     RefConsumption,
@@ -39,15 +26,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     RefConsumption,
     ReversalEviction,
     RefIdentityComparison,
-    UnseededRandom,
-    WallClock,
-    IdentityKey,
-    UnsortedRefSetIteration,
-    SaltedHash,
-    SlotsOnStepPath,
-    ClosureOnStepPath,
-    SnapshotInObservationPath,
-    RefKeyedContainerOnStepPath,
     LogicSurface,
     ForeignStateMutation,
     LifecycleOwnership,

@@ -7,7 +7,7 @@ Caching is per file, keyed by content hash, and *salted* with (a) the
 content hash of the lint package itself — editing a rule invalidates
 everything — and (b) the fingerprint of the whole discovered file set.
 The project fingerprint is what keeps the cache sound in the presence of
-whole-program rules (protocol classification, step-reachability): a
+whole-program rules (protocol classification by class hierarchy): a
 finding in file A can depend on file B, so entries are only replayed
 when *no* input changed. That is exactly the common case the cache
 exists for (re-runs in CI and pre-commit loops).
@@ -134,7 +134,7 @@ def _noqa_warnings(module: Module, known_ids: Iterable[str]) -> list[Finding]:
                         message=(
                             f"malformed rule id {token!r} in `repro: noqa` "
                             "suppression (expected e.g. REF002 or a family "
-                            "prefix like DET); it suppresses nothing"
+                            "prefix like REF); it suppresses nothing"
                         ),
                     )
                 )

@@ -5,9 +5,10 @@ description and an asymptotic cost annotation, so experiment code (and
 ``repro metrics``) can pick instruments knowing what a per-step sample
 costs, and a default :class:`~repro.sim.tracing.SeriesRecorder` samples
 the six named in :data:`~repro.sim.tracing.DEFAULT_SERIES`. All catalog
-probes read counters the engine already maintains — the PERF003 lint
-rule rejects probes that rebuild snapshots or scan the process
-population (a bug the first standard probes shipped with).
+probes read counters the engine already maintains — the observer spy in
+``tests/sim/test_step_path_spy.py`` samples every probe each step and
+fails on any snapshot or process-population read (a bug the first
+standard probes shipped with).
 
 Φ attribution answers *where* the invalid information sits once Φ > 0:
 
@@ -54,9 +55,9 @@ class Probe:
         return self.fn(engine)
 
 
-# Named module-level functions (not lambdas) so the observation-path lint
-# (PERF003) covers their bodies. Each reads a counter the engine already
-# maintains; none may rebuild a snapshot or scan the process population.
+# Each probe reads a counter the engine already maintains; none may
+# rebuild a snapshot or scan the process population (the observer spy in
+# tests/sim/test_step_path_spy.py samples them all).
 
 
 def _probe_potential(e: "Engine") -> float:

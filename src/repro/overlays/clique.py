@@ -57,11 +57,14 @@ class CliqueLogic(OverlayLogic):
     def p_timeout(self, send: SendFn, keys: KeyProvider | None) -> None:
         # The clique is key-free (keys may be None) and every neighbour
         # receives the same introductions, so send order cannot change
-        # protocol state; Ref.__hash__ is seed-free (ints only), so the
-        # order is also identical across interpreters given one history.
-        for v in self.known:  # repro: noqa[DET004] — order-insensitive, key-free
+        # where the protocol converges. It does fix the schedule: the set
+        # walks in hash order, and Ref.__hash__ is seed-free (ints only),
+        # so the order is identical across interpreters given one
+        # history. The clique digest of tests/sim/test_golden_schedule.py
+        # pins it, under two hash seeds in tests/sim/test_hash_seed.py.
+        for v in self.known:
             send(v, "p_insert", self.self_ref)  # self-introduction       ♦
-            for w in self.known:  # repro: noqa[DET004] — order-insensitive, key-free
+            for w in self.known:
                 if v != w:
                     send(v, "p_insert", w)  # introduction                ♦
 

@@ -219,6 +219,9 @@ class Engine:
     oracle:
         Oracle predicate consulted via ``ctx.oracle()``; ``None`` means any
         consultation raises (protocols that never consult may omit it).
+    seed:
+        Seed of the default :class:`~repro.sim.scheduler.RandomScheduler`,
+        used only when *scheduler* is ``None``.
     strict:
         If True, messages with unknown labels raise
         :class:`~repro.errors.UnknownActionError` instead of being ignored.
@@ -226,6 +229,12 @@ class Engine:
         Callables ``(engine, executed_step) -> None`` run after every step;
         they raise :class:`~repro.errors.SafetyViolation` on invariant
         breaks.
+    tracer:
+        Optional object whose ``record(engine, executed_step)`` is called
+        after every step, before the monitors, e.g. a
+        :class:`~repro.sim.tracing.Tracer` or a
+        :class:`~repro.obs.trace.JsonlTraceSink`. Like monitors, it
+        keeps a ``soa`` run on the object loop.
     provenance:
         Optional :class:`~repro.obs.provenance.ProvenanceTracker`. When
         set, every posted message is assigned a lineage record whose
@@ -1358,7 +1367,9 @@ class Engine:
         Returns True iff *until* was satisfied (vacuously False when no
         predicate is given and the budget ran out). ``check_every`` spaces
         out predicate evaluation — legitimacy checks walk the whole graph,
-        so evaluating every step would dominate large runs.
+        so evaluating every step would dominate large runs. It must be at
+        least 1 (:class:`~repro.errors.ConfigurationError` otherwise, before
+        any step runs).
 
         The run is one loop over batches, each ending at the next
         predicate boundary (or at the end of the budget when there is no
@@ -1383,6 +1394,8 @@ class Engine:
         the whole run additionally ends with a deep state cross-check.
         """
 
+        if check_every < 1:
+            raise ConfigurationError(f"check_every must be >= 1, got {check_every}")
         if not self._attached:
             self.attach()
         driven = self._soa_core() if self._engine_mode == "soa" else None

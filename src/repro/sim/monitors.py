@@ -20,8 +20,9 @@ protocol transcription violated a proof obligation.
 Monitors run once per executed step, so they are observation hot-path
 code: they must read the engine's O(1)/O(Δ) surfaces (``potential()``,
 ``gone_count``, ``edge_count``, ``members_weakly_connected``) and never
-materialize a snapshot or scan the process population — the ``repro
-lint`` rule PERF003 enforces this for every ``*Monitor`` class. Richer
+materialize a snapshot or scan the process population — the observer
+spy in ``tests/sim/test_step_path_spy.py`` runs the Lemma 2 and Lemma 3
+monitors every step and fails on either. Richer
 causal instrumentation (message lineage, streaming trace export, the
 documented probe catalog) lives in :mod:`repro.obs`; an exit's causal
 trigger, for example, is answered by

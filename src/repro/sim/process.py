@@ -123,7 +123,7 @@ class ActionContext:
         # contract, not avoidable copying — and this slow path only runs
         # for multi-arg sends, which no shipped protocol issues.
         return tuple(
-            RefInfo(a.ref, proc.mode)  # repro: noqa[PERF004]
+            RefInfo(a.ref, proc.mode)
             if isinstance(a, RefInfo) and a.ref == proc.self_ref
             else a
             for a in args

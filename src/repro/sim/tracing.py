@@ -12,9 +12,9 @@ A default recorder samples the :data:`DEFAULT_SERIES` probes of the
 one probe registry, :data:`repro.obs.metrics.REGISTRY`. They read the
 engine's O(1) lifecycle counters and live graph totals — never
 ``snapshot()``, never a full process scan — so per-sample cost is
-constant on the incremental observation path. The ``repro lint`` rule
-PERF003 guards this invariant for every probe, monitor and tracer in
-the tree.
+constant on the incremental observation path. The observer spy in
+``tests/sim/test_step_path_spy.py`` guards this for every registry
+probe, the tracer and the Lemma 2/3 monitors.
 """
 
 from __future__ import annotations

@@ -55,7 +55,8 @@ class TrafficStats:
 
     The driver publishes itself as ``engine.traffic_stats`` so the probe
     registry can expose these as standard probes without scanning the
-    population (PERF003).
+    population (the observer spy in ``tests/sim/test_step_path_spy.py``
+    samples every registry probe).
     """
 
     __slots__ = (

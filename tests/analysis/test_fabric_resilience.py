@@ -10,6 +10,7 @@ the bit-identity assertion meaningful.
 from __future__ import annotations
 
 import os
+from concurrent.futures import wait
 
 import pytest
 
@@ -92,6 +93,32 @@ class TestWorkerDeath:
         assert [t.seed for t in fanned] == list(range(4))
         assert all(t.error is None for t in fanned)
         assert any(event["event"] == "serial_fallback" for event in recovery)
+
+    def test_worker_death_during_submission_is_recovered(self, tmp_path, monkeypatch):
+        """Regression: a worker that died before every chunk was handed
+        out made ``pool.submit`` raise ``BrokenProcessPool`` out of
+        ``run``. Each submit here waits for its chunk, so the first
+        chunk's worker is dead before the second submit."""
+        build = KillerBuild(os.getpid(), str(tmp_path / "killed-once"))
+        with TrialFabric(
+            max_workers=2, chunk_size=2, max_pool_retries=0
+        ) as fabric:
+            pool = fabric._ensure_pool()
+            submit = pool.submit
+
+            def submit_and_wait(*args, **kwargs):
+                future = submit(*args, **kwargs)
+                wait([future])
+                return future
+
+            monkeypatch.setattr(pool, "submit", submit_and_wait)
+            fanned = fabric.run(
+                build, range(4), until=fdp_legitimate, max_steps=BUDGET
+            )
+            recovery = list(fabric.recovery_log)
+        assert [t.seed for t in fanned] == list(range(4))
+        assert all(t.error is None for t in fanned)
+        assert [event["event"] for event in recovery] == ["serial_fallback"]
 
     def test_negative_retry_budget_rejected(self):
         with pytest.raises(ValueError):

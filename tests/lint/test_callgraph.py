@@ -1,4 +1,4 @@
-"""Tests for the import/call-graph index (lint/callgraph.py)."""
+"""Tests for the class-hierarchy index (lint/callgraph.py)."""
 
 from __future__ import annotations
 
@@ -7,40 +7,9 @@ from pathlib import Path
 from repro.lint.callgraph import Project
 from repro.lint.model import Module, parse_module
 
-ENGINE_SRC = '''
-from hotutil import helper
-
-
-class Engine:
-    def step(self) -> None:
-        helper()
-        self._inner()
-
-    def _inner(self) -> None:
-        fanout()
-
-    def offline_report(self) -> None:
-        untouched()
-
-
-def fanout() -> None:
-    pass
-'''
-
-HOTUTIL_SRC = '''
-def helper() -> None:
-    pass
-'''
-
 PROTOCOL_SRC = '''
 class MyLogic(OverlayLogic):
     def p_timeout(self, send, keys) -> None:
-        self._spread(send)
-
-    def _spread(self, send) -> None:
-        pass
-
-    def offline(self) -> None:
         pass
 
 
@@ -49,20 +18,15 @@ class Derived(MyLogic):
 '''
 
 COLD_SRC = '''
-def analysis() -> None:
-    pass
+class Report:
+    def analysis(self) -> None:
+        pass
 '''
 
 
 def _project(tmp_path: Path) -> Project:
-    sources = {
-        "repro.sim.engine": ENGINE_SRC,
-        "hotutil": HOTUTIL_SRC,
-        "proto": PROTOCOL_SRC,
-        "cold": COLD_SRC,
-    }
     modules: list[Module] = []
-    for name, src in sources.items():
+    for name, src in {"proto": PROTOCOL_SRC, "cold": COLD_SRC}.items():
         path = tmp_path / f"{name}.py"
         path.write_text(src)
         parsed = parse_module(str(path), name)
@@ -80,86 +44,3 @@ class TestHierarchy:
         project = _project(tmp_path)
         derived = project.classes["proto.Derived"]
         assert project.is_overlay_logic_class(derived)
-
-
-class TestHotModules:
-    def test_import_closure_from_engine_seed(self, tmp_path: Path) -> None:
-        project = _project(tmp_path)
-        assert "repro.sim.engine" in project.hot_modules
-        assert "hotutil" in project.hot_modules  # imported by the engine
-        assert "proto" in project.hot_modules  # protocol module
-        assert "cold" not in project.hot_modules
-
-    def test_fixture_without_engine_falls_back_to_protocols(
-        self, tmp_path: Path
-    ) -> None:
-        path = tmp_path / "solo.py"
-        path.write_text(PROTOCOL_SRC)
-        parsed = parse_module(str(path), "solo")
-        assert isinstance(parsed, Module)
-        project = Project([parsed])
-        assert project.hot_modules == {"solo"}
-
-
-class TestStepReachability:
-    def test_reaches_through_calls(self, tmp_path: Path) -> None:
-        project = _project(tmp_path)
-        assert project.is_step_reachable("repro.sim.engine.Engine.step")
-        assert project.is_step_reachable("repro.sim.engine.Engine._inner")
-        assert project.is_step_reachable("repro.sim.engine.fanout")
-        assert project.is_step_reachable("hotutil.helper")
-
-    def test_action_methods_are_roots(self, tmp_path: Path) -> None:
-        project = _project(tmp_path)
-        assert project.is_step_reachable("proto.MyLogic.p_timeout")
-        assert project.is_step_reachable("proto.MyLogic._spread")
-
-    def test_offline_functions_are_not_reachable(self, tmp_path: Path) -> None:
-        project = _project(tmp_path)
-        assert not project.is_step_reachable("repro.sim.engine.Engine.offline_report")
-        assert not project.is_step_reachable("proto.MyLogic.offline")
-        assert not project.is_step_reachable("cold.analysis")
-
-
-class TestCoreEntryPoints:
-    """The SoA batch handlers are analysis roots, not dead code.
-
-    Regression: before CORE_ENTRY_POINTS, everything reached only from
-    ``EngineCore.run_batch`` / ``mirror_step`` (the batch scheduler
-    kernels, the replay driver) was invisible to step-path rules.
-    """
-
-    @staticmethod
-    def _real_project() -> "Project":
-        from repro.lint.runner import discover_files, module_name_for
-
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        modules = []
-        for path in discover_files([src]):
-            parsed = parse_module(path, module_name_for(path))
-            assert isinstance(parsed, Module), parsed
-            modules.append(parsed)
-        return Project(modules)
-
-    def test_soa_batch_handlers_are_step_reachable(self) -> None:
-        project = self._real_project()
-        for qualname in (
-            "repro.sim.soa.EngineCore.run_batch",
-            "repro.sim.soa.EngineCore.mirror_step",
-            "repro.sim.soa.EngineCore._run_batch_random",
-            "repro.sim.soa.EngineCore._run_timeout",
-            "repro.sim.soa.EngineCore._transition",
-            "repro.sim.soa.EngineCore._send",
-        ):
-            assert project.is_step_reachable(qualname), qualname
-
-
-class TestClassResolution:
-    def test_same_module_wins(self, tmp_path: Path) -> None:
-        import ast
-
-        project = _project(tmp_path)
-        call = ast.parse("MyLogic(x)").body[0].value
-        module = next(m for m in project.modules.values() if m.name == "proto")
-        resolved = project.resolve_class(module, call)
-        assert resolved is not None and resolved.qualname == "proto.MyLogic"

@@ -10,8 +10,11 @@ from repro.cli import main
 from repro.lint.runner import lint_paths
 from tests.lint.conftest import FIXTURES
 
-BAD = str(FIXTURES / "det005_bad.py")
-GOOD = str(FIXTURES / "det005_good.py")
+BAD = str(FIXTURES / "ref003_bad.py")
+GOOD = str(FIXTURES / "ref003_good.py")
+
+#: ids of rules the analyzer no longer ships (docs/LINT.md "Retired rules").
+RETIRED = ("DET004", "PERF", "SOA001")
 
 
 class TestExitCodes:
@@ -22,7 +25,7 @@ class TestExitCodes:
     def test_findings_exit_one(self, capsys) -> None:
         assert main(["lint", BAD]) == 1
         out = capsys.readouterr().out
-        assert "DET005" in out and "1 finding" in out
+        assert "REF003" in out and "1 finding" in out
 
     def test_syntax_error_exits_two(self, tmp_path: Path, capsys) -> None:
         broken = tmp_path / "broken.py"
@@ -31,7 +34,9 @@ class TestExitCodes:
         assert "LINT000" in capsys.readouterr().out
 
     def test_unknown_selector_exits_two(self, capsys) -> None:
-        assert main(["lint", GOOD, "--select", "NOPE"]) == 2
+        for selector in ("NOPE", *RETIRED):
+            assert main(["lint", GOOD, "--select", selector]) == 2, selector
+            assert "LINT001" in capsys.readouterr().out
 
 
 class TestOutput:
@@ -40,31 +45,33 @@ class TestOutput:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 1
         (finding,) = payload["findings"]
-        assert finding["rule"] == "DET005"
-        assert finding["path"].endswith("det005_bad.py")
+        assert finding["rule"] == "REF003"
+        assert finding["path"].endswith("ref003_bad.py")
         assert finding["line"] > 0
 
     def test_text_format_has_location(self, capsys) -> None:
         main(["lint", BAD])
         out = capsys.readouterr().out
-        assert "det005_bad.py:" in out
+        assert "ref003_bad.py:" in out
 
     def test_list_rules(self, capsys) -> None:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REF001", "DET004", "PERF001", "API003"):
+        for rule_id in ("REF001", "REF003", "API001", "API003"):
             assert rule_id in out
+        for prefix in ("DET", "PERF", "SOA", "ENC"):
+            assert prefix not in out
 
 
 class TestSelection:
     def test_select_excludes_other_families(self, capsys) -> None:
-        assert main(["lint", BAD, "--select", "REF"]) == 0
+        assert main(["lint", BAD, "--select", "API"]) == 0
 
     def test_ignore_silences_family(self, capsys) -> None:
-        assert main(["lint", BAD, "--ignore", "DET"]) == 0
+        assert main(["lint", BAD, "--ignore", "REF"]) == 0
 
     def test_family_prefix_selects_members(self, capsys) -> None:
-        assert main(["lint", BAD, "--select", "DET"]) == 1
+        assert main(["lint", BAD, "--select", "REF"]) == 1
 
 
 class TestNoqa:
@@ -76,20 +83,20 @@ class TestNoqa:
         return [f.rule for f in result.findings]
 
     SNIPPET = (
-        "class R:\n"
-        "    def __hash__(self):\n"
-        "        return hash(('R', self.pid)){noqa}\n"
+        "class P(Process):\n"
+        "    def on_ping(self, ctx, ref):\n"
+        "        return ref is self.self_ref{noqa}\n"
     )
 
     def test_unsuppressed_fires(self, tmp_path: Path) -> None:
-        assert self._lint_text(tmp_path, self.SNIPPET.format(noqa="")) == ["DET005"]
+        assert self._lint_text(tmp_path, self.SNIPPET.format(noqa="")) == ["REF003"]
 
     def test_exact_rule_suppression(self, tmp_path: Path) -> None:
-        text = self.SNIPPET.format(noqa="  # repro: noqa[DET005]")
+        text = self.SNIPPET.format(noqa="  # repro: noqa[REF003]")
         assert self._lint_text(tmp_path, text) == []
 
     def test_family_prefix_suppression(self, tmp_path: Path) -> None:
-        text = self.SNIPPET.format(noqa="  # repro: noqa[DET]")
+        text = self.SNIPPET.format(noqa="  # repro: noqa[REF]")
         assert self._lint_text(tmp_path, text) == []
 
     def test_blanket_suppression(self, tmp_path: Path) -> None:
@@ -98,14 +105,14 @@ class TestNoqa:
 
     def test_other_rule_does_not_suppress(self, tmp_path: Path) -> None:
         text = self.SNIPPET.format(noqa="  # repro: noqa[REF001]")
-        assert self._lint_text(tmp_path, text) == ["DET005"]
+        assert self._lint_text(tmp_path, text) == ["REF003"]
 
     def test_suppression_is_line_scoped(self, tmp_path: Path) -> None:
-        text = "# repro: noqa[DET005]\n" + self.SNIPPET.format(noqa="")
-        assert self._lint_text(tmp_path, text) == ["DET005"]
+        text = "# repro: noqa[REF003]\n" + self.SNIPPET.format(noqa="")
+        assert self._lint_text(tmp_path, text) == ["REF003"]
 
     def test_comma_list_suppresses_each_named_rule(self, tmp_path: Path) -> None:
-        text = self.SNIPPET.format(noqa="  # repro: noqa[REF001, DET005]")
+        text = self.SNIPPET.format(noqa="  # repro: noqa[API001, REF003]")
         assert self._lint_text(tmp_path, text) == []
 
 
@@ -124,23 +131,27 @@ class TestNoqaHygiene:
     def test_lowercase_id_warns_and_does_not_suppress(self, tmp_path: Path) -> None:
         # the old strict regex fell back to matching the bare ``noqa``
         # prefix here, silently blanket-suppressing the whole line
-        text = self.SNIPPET.format(noqa="  # repro: noqa[det005]")
-        assert sorted(self._lint_text(tmp_path, text)) == ["DET005", "LINT002"]
+        text = self.SNIPPET.format(noqa="  # repro: noqa[ref003]")
+        assert sorted(self._lint_text(tmp_path, text)) == ["LINT002", "REF003"]
 
     def test_unknown_rule_id_warns_and_does_not_suppress(
         self, tmp_path: Path
     ) -> None:
-        text = self.SNIPPET.format(noqa="  # repro: noqa[ZZZ001]")
-        assert sorted(self._lint_text(tmp_path, text)) == ["DET005", "LINT002"]
+        # a retired rule's id is as unknown as a typo: a leftover
+        # suppression of it warns instead of lingering unreported
+        for rule_id in ("ZZZ001", *RETIRED):
+            text = self.SNIPPET.format(noqa=f"  # repro: noqa[{rule_id}]")
+            found = sorted(self._lint_text(tmp_path, text))
+            assert found == ["LINT002", "REF003"], rule_id
 
     def test_empty_bracket_list_warns(self, tmp_path: Path) -> None:
         text = self.SNIPPET.format(noqa="  # repro: noqa[]")
-        assert sorted(self._lint_text(tmp_path, text)) == ["DET005", "LINT002"]
+        assert sorted(self._lint_text(tmp_path, text)) == ["LINT002", "REF003"]
 
     def test_mixed_list_suppresses_known_and_warns_on_unknown(
         self, tmp_path: Path
     ) -> None:
-        text = self.SNIPPET.format(noqa="  # repro: noqa[DET005, ZZZ001]")
+        text = self.SNIPPET.format(noqa="  # repro: noqa[REF003, ZZZ001]")
         assert self._lint_text(tmp_path, text) == ["LINT002"]
 
     def test_bare_noqa_never_warns(self, tmp_path: Path) -> None:
@@ -169,7 +180,7 @@ class TestGithubFormat:
         line = next(ln for ln in out.splitlines() if ln.startswith("::error"))
         assert line.startswith("::error file=")
         assert ",line=" in line and ",col=" in line
-        assert ",title=DET005::" in line
+        assert ",title=REF003::" in line
 
     def test_clean_run_emits_no_annotations(self, capsys) -> None:
         assert main(["lint", GOOD, "--format", "github"]) == 0
@@ -195,19 +206,15 @@ class TestCache:
         src.write_text("x = 1\n")
         cache = tmp_path / "cache.json"
         assert lint_paths([str(src)], cache_path=str(cache)).findings == []
-        src.write_text(
-            "class R:\n"
-            "    def __hash__(self):\n"
-            "        return hash(('R', self.pid))\n"
-        )
+        src.write_text(TestNoqa.SNIPPET.format(noqa=""))
         fresh = lint_paths([str(src)], cache_path=str(cache))
         assert fresh.stats["cache_hits"] == 0
-        assert [f.rule for f in fresh.findings] == ["DET005"]
+        assert [f.rule for f in fresh.findings] == ["REF003"]
 
     def test_selector_change_invalidates_cache(self, tmp_path: Path) -> None:
         cache = tmp_path / "cache.json"
         lint_paths([BAD], cache_path=str(cache))
-        narrowed = lint_paths([BAD], select=("REF",), cache_path=str(cache))
+        narrowed = lint_paths([BAD], select=("API",), cache_path=str(cache))
         assert narrowed.stats["cache_hits"] == 0
         assert narrowed.findings == []
 
@@ -215,7 +222,7 @@ class TestCache:
         cache = tmp_path / "cache.json"
         cache.write_text("{not json")
         result = lint_paths([BAD], cache_path=str(cache))
-        assert [f.rule for f in result.findings] == ["DET005"]
+        assert [f.rule for f in result.findings] == ["REF003"]
 
     def test_stats_flag_prints_timing(self, tmp_path: Path, capsys) -> None:
         cache = tmp_path / "cache.json"

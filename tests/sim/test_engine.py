@@ -293,6 +293,22 @@ class TestRun:
         # (the last in-loop check fires at step 8).
         assert eng.run(10, until=lambda e: e.step_count >= 10, check_every=8)
 
+    @pytest.mark.parametrize("check_every", [0, -3])
+    def test_check_every_below_one_rejected_before_any_step(self, check_every):
+        """Regression: 0 raised a bare ZeroDivisionError and a negative
+        cadence asked for negative batches, so the run never returned."""
+        eng = make([Recorder(0)])
+        calls = 0
+
+        def pred(engine):
+            nonlocal calls
+            calls += 1
+            return False
+
+        with pytest.raises(ConfigurationError, match="check_every"):
+            eng.run(10, until=pred, check_every=check_every)
+        assert calls == 0 and eng.step_count == 0
+
 
 class TestMeasurements:
     def test_potential_counts_invalid_edges(self):
