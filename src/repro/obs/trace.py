@@ -96,9 +96,9 @@ class JsonlTraceSink:
         buffer_lines: int = DEFAULT_BUFFER_LINES,
     ) -> None:
         if metrics_every < 0:
-            raise ValueError("metrics_every must be >= 0 (0 disables)")
+            raise ConfigurationError("metrics_every must be >= 0 (0 disables)")
         if buffer_lines < 1:
-            raise ValueError("buffer_lines must be >= 1")
+            raise ConfigurationError("buffer_lines must be >= 1")
         self.path = path
         self.metrics_every = metrics_every
         self.buffer_lines = buffer_lines
@@ -106,9 +106,7 @@ class JsonlTraceSink:
         self._fh: IO[str] | None = open(path, "w", encoding="utf-8")
         self._buf: list[str] = []
         self._label_json: dict[str, str] = {}
-        self._stats: Any = None  # engine.stats, cached on first record
         self._last_oq = 0
-        self._last_ot = 0
         self._finalized = False
         header = {"t": "h", "v": TRACE_VERSION, "meta": meta or {}}
         self._buf.append(json.dumps(header, separators=(",", ":")) + "\n")
@@ -116,7 +114,13 @@ class JsonlTraceSink:
     # ------------------------------------------------------------ hot path
 
     def record(self, engine: Engine, executed: ExecutedStep) -> None:
-        """Engine hook: append one step record (O(1), no snapshot)."""
+        """Engine hook: append one step record (O(1), no snapshot).
+
+        Reads only *executed*, plus the engine's O(1) counters after
+        every ``metrics_every``-th step, where the engine ends a core
+        batch (see the ``tracer`` parameter of
+        :class:`~repro.sim.engine.Engine`).
+        """
         kind = executed.kind
         if kind == "deliver":
             label = executed.label
@@ -133,21 +137,17 @@ class JsonlTraceSink:
         state = executed.new_state
         if state is not None:
             line += f',"st":"{state.value[0]}"'
-        stats = self._stats
-        if stats is None:
-            stats = self._stats = engine.stats
-        oq = stats.oracle_queries
+        oq = executed.oracle_queries
         if oq != self._last_oq:
-            ot = stats.oracle_true
-            line += f',"oq":{oq},"ot":{ot}'
+            line += f',"oq":{oq},"ot":{executed.oracle_true}'
             self._last_oq = oq
-            self._last_ot = ot
         buf = self._buf
         buf.append(line + "}\n")
         self.steps_recorded += 1
-        if self.metrics_every and engine.step_count % self.metrics_every == 0:
+        every = self.metrics_every
+        if every and (executed.index + 1) % every == 0:
             buf.append(
-                f'{{"t":"m","i":{engine.step_count},"phi":{engine.potential()},'
+                f'{{"t":"m","i":{executed.index + 1},"phi":{engine.potential()},'
                 f'"gone":{engine.gone_count},"edges":{engine.edge_count},'
                 f'"pend":{engine.pending_count}}}\n'
             )

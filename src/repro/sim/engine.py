@@ -96,11 +96,17 @@ from repro.sim.scheduler import (
 )
 from repro.sim.states import LEGAL_TRANSITIONS, Capability, Mode, PState
 
-__all__ = ["Engine", "ExecutedStep", "EngineStats"]
+__all__ = ["Engine", "ExecutedStep", "EngineStats", "TRACE_BATCH_CAP"]
 
 #: Oracle signature: a predicate over (engine, pid) — equivalently over the
 #: current process graph and the calling process, the paper's O : PG × P.
 Oracle = Callable[["Engine", int], bool]
+
+
+#: Most steps a core batch runs while the engine has a tracer: the core
+#: logs a batch's steps and hands them over at its end, so this bounds
+#: the log's memory.
+TRACE_BATCH_CAP = 4096
 
 
 def _check_pid(pid: int) -> None:
@@ -116,9 +122,15 @@ class ExecutedStep:
 
     One is allocated per step, so this is a ``__slots__`` class (not a
     dataclass) to keep the hot loop allocation-light. Treat as immutable.
+    ``oracle_queries`` and ``oracle_true`` are the run's cumulative
+    oracle counters after the step, so a tracer needs nothing but the
+    step to record what the oracle saw.
     """
 
-    __slots__ = ("index", "kind", "pid", "label", "seq", "new_state")
+    __slots__ = (
+        "index", "kind", "pid", "label", "seq", "new_state",
+        "oracle_queries", "oracle_true",
+    )
 
     def __init__(
         self,
@@ -128,6 +140,8 @@ class ExecutedStep:
         label: str | None = None,
         seq: int | None = None,
         new_state: PState | None = None,
+        oracle_queries: int = 0,
+        oracle_true: int = 0,
     ) -> None:
         self.index = index
         self.kind = kind
@@ -135,9 +149,14 @@ class ExecutedStep:
         self.label = label
         self.seq = seq
         self.new_state = new_state
+        self.oracle_queries = oracle_queries
+        self.oracle_true = oracle_true
 
     def _key(self) -> tuple:
-        return (self.index, self.kind, self.pid, self.label, self.seq, self.new_state)
+        return (
+            self.index, self.kind, self.pid, self.label, self.seq,
+            self.new_state, self.oracle_queries, self.oracle_true,
+        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ExecutedStep):
@@ -148,7 +167,8 @@ class ExecutedStep:
         return (
             f"ExecutedStep(index={self.index}, kind={self.kind!r}, "
             f"pid={self.pid}, label={self.label!r}, seq={self.seq}, "
-            f"new_state={self.new_state})"
+            f"new_state={self.new_state}, oracle_queries={self.oracle_queries}, "
+            f"oracle_true={self.oracle_true})"
         )
 
 
@@ -231,10 +251,17 @@ class Engine:
         breaks.
     tracer:
         Optional object whose ``record(engine, executed_step)`` is called
-        after every step, before the monitors, e.g. a
+        once per step, in step order, e.g. a
         :class:`~repro.sim.tracing.Tracer` or a
-        :class:`~repro.obs.trace.JsonlTraceSink`. Like monitors, it
-        keeps a ``soa`` run on the object loop.
+        :class:`~repro.obs.trace.JsonlTraceSink`. On the object loop it
+        runs after each step, before the monitors. A ``soa`` run keeps
+        the tracer on the core: the core logs each step, and
+        :meth:`run` hands a batch's steps over at the end of the batch
+        (before the predicate runs, and before the run returns or
+        re-raises). So a tracer reads only the ``ExecutedStep`` it is
+        given, plus O(1) engine counters at the step counts that are
+        multiples of its optional ``metrics_every`` attribute, where
+        batches end. Batches run at most :data:`TRACE_BATCH_CAP` steps.
     provenance:
         Optional :class:`~repro.obs.provenance.ProvenanceTracker`. When
         set, every posted message is assigned a lineage record whose
@@ -249,7 +276,7 @@ class Engine:
         Which execution core runs the step loop. ``"objects"`` (default)
         is the object-per-process loop. ``"soa"`` executes eligible runs
         (homogeneous FDP/FSP populations under a core-drivable
-        scheduler, no monitors/tracer) on the struct-of-arrays
+        scheduler, no monitors) on the struct-of-arrays
         :class:`~repro.sim.soa.EngineCore` and falls back to the object
         loop otherwise. ``"verify"`` executes every step on both cores
         and cross-checks them — the differential oracle. It also diffs
@@ -1309,7 +1336,10 @@ class Engine:
             by[pid] = 1
         if proc.state is PState.AWAKE:
             self.scheduler.notify_timeout_executed(pid, self.next_stamp())
-        return ExecutedStep(self.step_count, "timeout", pid, None, None, proc.state)
+        return ExecutedStep(
+            self.step_count, "timeout", pid, None, None, proc.state,
+            stats.oracle_queries, stats.oracle_true,
+        )
 
     def _run_delivery(self, pid: int, seq: int) -> ExecutedStep:
         proc = self._processes[pid]
@@ -1351,7 +1381,8 @@ class Engine:
         except KeyError:
             by[pid] = 1
         return ExecutedStep(
-            self.step_count, "deliver", pid, msg.label, seq, proc.state
+            self.step_count, "deliver", pid, msg.label, seq, proc.state,
+            stats.oracle_queries, stats.oracle_true,
         )
 
     def run(
@@ -1378,10 +1409,13 @@ class Engine:
         :meth:`~repro.sim.soa.EngineCore.run_batch` on the
         struct-of-arrays core or that many calls of :meth:`step`, and a
         batch that executes fewer steps than asked means quiescence.
+        With a tracer, core batches also end where the ``tracer``
+        parameter says; the predicate still runs only at its boundaries.
 
-        In ``engine_mode="soa"`` eligible runs (no monitors/tracer/
-        provenance/auditors, core-drivable scheduler) take core batches.
-        After each one only the counters are exported, and the core
+        In ``engine_mode="soa"`` eligible runs (no monitors/provenance/
+        auditors, core-drivable scheduler) take core batches. After each
+        one only the counters are exported, then its steps go to the
+        tracer, and the core
         answers graph queries through the query facade; the process
         stores and channels are exported when something first reads
         :attr:`processes` or :attr:`channels`. The run returns with that
@@ -1400,12 +1434,17 @@ class Engine:
             self.attach()
         driven = self._soa_core() if self._engine_mode == "soa" else None
         core = driven
+        tracer = self.tracer if driven is not None else None
         if driven is not None:
-            driven.drive(self.scheduler)
+            driven.drive(self.scheduler, log_steps=tracer is not None)
         try:
             i = 0
             while True:
-                if until is not None and until(self):
+                if (
+                    until is not None
+                    and (i % check_every == 0 or i >= max_steps)
+                    and until(self)
+                ):
                     result = True
                     break
                 if i >= max_steps:
@@ -1426,8 +1465,12 @@ class Engine:
                     # the export first); the core no longer mirrors it.
                     core = None
                 if core is not None:
+                    if tracer is not None:
+                        batch = self._trace_batch(tracer, batch)
                     executed = core.run_batch(batch)
                     self._defer_export(core)
+                    if tracer is not None:
+                        self._hand_over_steps(tracer, core)
                 else:
                     executed = 0
                     while executed < batch and self.step() is not None:
@@ -1439,6 +1482,8 @@ class Engine:
         except BaseException:
             if core is not None and self._core is core and not self._core_stale:
                 self._defer_export(core)  # the objects may be behind
+                if tracer is not None:
+                    self._hand_over_steps(tracer, core)
             raise
         finally:
             if driven is not None:
@@ -1454,21 +1499,16 @@ class Engine:
     def _soa_core(self) -> Any | None:
         """The core for a batched soa run, or ``None`` to fall back.
 
-        Observers (monitors, tracer, provenance, exit auditors) need the
-        object model per step, and a scheduler that reads engine state in
+        Observers (monitors, provenance, exit auditors) need the object
+        model per step, and a scheduler that reads engine state in
         ``select`` is not core-drivable; either forces the object loop,
-        and ``core_status["reason"]`` then names the cause.
+        and ``core_status["reason"]`` then names the cause. A tracer does
+        not: the core logs its steps for it.
         """
-        if (
-            self.monitors
-            or self.tracer is not None
-            or self.provenance is not None
-            or self.exit_auditors
-        ):
+        if self.monitors or self.provenance is not None or self.exit_auditors:
             if self._core is not None:
                 attached = (
                     ("monitors", self.monitors),
-                    ("tracer", self.tracer is not None),
                     ("provenance", self.provenance is not None),
                     ("exit auditors", self.exit_auditors),
                 )
@@ -1488,6 +1528,23 @@ class Engine:
             return None
         self._core_reason = None
         return core
+
+    def _trace_batch(self, tracer: Any, batch: int) -> int:
+        """*batch* cut so that the core logs at most
+        :data:`TRACE_BATCH_CAP` steps, and so that a batch ends at every
+        step count the tracer samples engine counters at (a multiple of
+        its optional ``metrics_every``)."""
+        every = getattr(tracer, "metrics_every", 0)
+        if every:
+            batch = min(batch, every - self.step_count % every)
+        return min(batch, TRACE_BATCH_CAP)
+
+    def _hand_over_steps(self, tracer: Any, core: Any) -> None:
+        """Give the tracer the steps of the core batch that just ended,
+        after its counters were exported."""
+        record = tracer.record
+        for fields in core.take_steps():
+            record(self, ExecutedStep(*fields))
 
     def _defer_export(self, core: Any) -> None:
         """Export the core's counters now and its objects on demand."""

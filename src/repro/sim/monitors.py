@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import SafetyViolation
+from repro.errors import ConfigurationError, SafetyViolation
 from repro.sim.states import PState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,7 +64,7 @@ class ConnectivityMonitor:
 
     def __init__(self, check_every: int = 1) -> None:
         if check_every < 1:
-            raise ValueError("check_every must be >= 1")
+            raise ConfigurationError("check_every must be >= 1")
         self.check_every = check_every
         self.checks = 0
 
@@ -101,7 +101,7 @@ class PotentialMonitor:
 
     def __init__(self, check_every: int = 1) -> None:
         if check_every < 1:
-            raise ValueError("check_every must be >= 1")
+            raise ConfigurationError("check_every must be >= 1")
         self.check_every = check_every
         self.values: list[int] = []
         self._last: int | None = None

@@ -39,6 +39,9 @@ The core runs in two roles selected by ``Engine(engine_mode=...)``:
   state only: the core samples and appends to a
   :class:`~repro.sim.scheduler.RandomScheduler`'s packed-int pool in
   place, and notifies any other scheduler through its public hooks.
+  When the engine has a tracer, the kernels also log each step in
+  :attr:`EngineCore.step_log`, which the engine hands to the tracer at
+  the end of the batch (:meth:`EngineCore.take_steps`).
 
 While the core holds the current state it also answers the engine's
 graph queries in the int domain (:meth:`partners` and the hop
@@ -281,6 +284,7 @@ class EngineCore:
         "sched",
         "_pool",
         "_pos",
+        "step_log",
         "_labels",
     )
 
@@ -405,6 +409,9 @@ class EngineCore:
         self.sched: Scheduler | None = None
         self._pool: list[int] | None = None
         self._pos: dict[int, int] | None = None
+        #: the steps of the current batch while the engine has a tracer
+        #: (see :meth:`drive` and :meth:`take_steps`), else None.
+        self.step_log: list[tuple] | None = None
         #: weak-component label per slot, computed on the first
         #: connectivity query after a change (see :meth:`_component_labels`).
         self._labels: list[int] | None = None
@@ -1267,7 +1274,7 @@ class EngineCore:
             if sched is not None:
                 sched.notify_timeout_executed(self.pids[u], stamp)
 
-    def _run_delivery(self, u: int, seq: int) -> None:
+    def _run_delivery(self, u: int, seq: int) -> int:
         if self.state_[u] == _GONE:  # pragma: no cover - scheduler contract
             raise StateViolation(
                 f"delivery selected for gone process {self.pids[u]}"
@@ -1304,6 +1311,7 @@ class EngineCore:
         self.deliveries += 1
         self.deliveries_by[u] += 1
         self.last_acted[u] = self.steps
+        return label_id
 
     def _sync_flow(self) -> None:
         """Materialize the derived message-flow counters.
@@ -1335,16 +1343,19 @@ class EngineCore:
 
     # ------------------------------------------------------------------ driving (soa)
 
-    def drive(self, sched: Scheduler | None) -> None:
+    def drive(self, sched: Scheduler | None, *, log_steps: bool = False) -> None:
         """Hand the core the engine's scheduler for batched runs; ``None``
         takes it back.
 
         Nothing is copied: a :class:`RandomScheduler`'s pool is sampled
         and appended to in place, and any other scheduler hears every
         event through its public hooks, so the object loop continues from
-        the same scheduler state after a batch.
+        the same scheduler state after a batch. With *log_steps* every
+        executed step is also appended to :attr:`step_log`, for the
+        engine to hand to its tracer (:meth:`take_steps`).
         """
         self.sched = sched
+        self.step_log = [] if sched is not None and log_steps else None
         if type(sched) is RandomScheduler:
             self._pool = sched._pool  # noqa: SLF001 - the core shares the pool
             self._pos = sched._pos  # noqa: SLF001
@@ -1385,7 +1396,10 @@ class EngineCore:
         over in :meth:`drive`.
 
         Returns the executed count; fewer than *budget* means the system
-        went quiescent.
+        went quiescent. While :attr:`step_log` is a list, each executed
+        step appends ``(index, pid, seq, label id, lifecycle code,
+        oracle queries, oracle true)`` to it, with ``seq`` and the label
+        id ``None`` for a timeout; a step that raises appends nothing.
         """
         sched = self.sched
         if sched is None:
@@ -1395,6 +1409,7 @@ class EngineCore:
             return self._run_batch_random(sched, budget)
         replay = isinstance(sched, ReplayScheduler)
         slot_of = self.slot_of
+        log = self.step_log
         executed = 0
         while executed < budget:
             ev = self._replay_select(sched) if replay else sched.select(None)
@@ -1403,8 +1418,14 @@ class EngineCore:
             u = slot_of[ev.pid]
             if type(ev) is TimeoutEvent:
                 self._run_timeout(u)
+                seq = label_id = None
             else:
-                self._run_delivery(u, ev.seq)
+                seq = ev.seq
+                label_id = self._run_delivery(u, seq)
+            if log is not None:
+                log.append(
+                    (self.steps, ev.pid, seq, label_id, self.state_[u], self.oq, self.otrue)
+                )
             self._after_step()
             executed += 1
         return executed
@@ -1438,6 +1459,7 @@ class EngineCore:
         n_labels = len(deliver_kernels)
         timeout_kernel = self._timeout_kernel
         strict = self.strict
+        log = self.step_log
         # Per-step scalar counters, batched into locals and flushed on
         # every exit path: the kernels never read them mid-batch, and
         # _transition (the one callee that reads self.steps) gets the
@@ -1468,8 +1490,10 @@ class EngineCore:
                     # inline _run_delivery(u, seq). The gone-process
                     # contract check is elided: notify_gone strips every
                     # pending delivery of a gone process from the pool.
-                    u = slot_of[enc & pid_mask]
-                    rec = ch[u].pop((enc >> PID_BITS) - 1)
+                    pid = enc & pid_mask
+                    seq = (enc >> PID_BITS) - 1
+                    u = slot_of[pid]
+                    rec = ch[u].pop(seq)
                     subj = ((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1
                     bel = (rec >> _BEL_SHIFT) & 3
                     if subj >= 0:
@@ -1501,6 +1525,10 @@ class EngineCore:
                     dcount += 1
                     deliveries_by[u] += 1
                     last_acted[u] = steps
+                    if log is not None:
+                        log.append(
+                            (steps, pid, seq, label_id, state_[u], self.oq, self.otrue)
+                        )
                 else:
                     # inline _run_timeout(u): the pool only holds timeout
                     # entries for awake processes, so the contract check is
@@ -1516,6 +1544,10 @@ class EngineCore:
                         # the re-enable stamp; RandomScheduler's
                         # notify_timeout_executed ignores it.
                         self.clock += 1
+                    if log is not None:
+                        log.append(
+                            (steps, enc, None, None, state_[u], self.oq, self.otrue)
+                        )
                 # inline _after_step()
                 steps += 1
                 phi = self.phi
@@ -1534,6 +1566,20 @@ class EngineCore:
             if lprog > self.last_progress:
                 self.last_progress = lprog
         return executed
+
+    def take_steps(self) -> list[tuple]:
+        """Empty :attr:`step_log`, returning its steps oldest first as
+        :class:`~repro.sim.engine.ExecutedStep` argument tuples."""
+        log = self.step_log
+        labels = self.labels
+        steps = [
+            (index, "timeout", pid, None, None, _STATE_BY_CODE[st], oq, ot)
+            if seq is None
+            else (index, "deliver", pid, labels[lid], seq, _STATE_BY_CODE[st], oq, ot)
+            for index, pid, seq, lid, st, oq, ot in log
+        ]
+        log.clear()
+        return steps
 
     # ------------------------------------------------------------------ mirroring (verify)
 

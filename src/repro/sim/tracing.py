@@ -23,6 +23,8 @@ from collections import deque
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
+from repro.errors import ConfigurationError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine, ExecutedStep
 
@@ -52,7 +54,7 @@ class Tracer:
 
     def __init__(self, capacity: int | None = DEFAULT_TRACER_CAPACITY) -> None:
         if capacity is not None and capacity < 1:
-            raise ValueError(
+            raise ConfigurationError(
                 "capacity must be >= 1 (pass capacity=None to explicitly "
                 "opt in to an unbounded trace)"
             )
@@ -102,7 +104,7 @@ class SeriesRecorder:
         every: int = 1,
     ) -> None:
         if every < 1:
-            raise ValueError("every must be >= 1")
+            raise ConfigurationError("every must be >= 1")
         if probes is None:
             # The registry is an observer catalog; the engine itself never
             # imports repro.obs.

@@ -103,9 +103,9 @@ class TestSink:
         sink.close()  # idempotent
 
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             JsonlTraceSink(str(tmp_path / "x.jsonl"), metrics_every=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             JsonlTraceSink(str(tmp_path / "y.jsonl"), buffer_lines=0)
 
 

@@ -19,9 +19,9 @@ digests under two ``PYTHONHASHSEED`` values to catch a hash-seed-salted
 one.
 
 The events are read back at every step boundary through the ``until``
-predicate (``check_every=1``) rather than through a tracer: a tracer
-moves a ``soa`` run onto the object loop, while a predicate keeps it on
-the core, which then exports after every one-step batch. The acting
+predicate (``check_every=1``) rather than through a tracer, so that
+the soa core exports after every one-step batch and the digest also
+covers that export path. The acting
 process is the one whose timeout or delivery counter moved; a delivered
 message is the one seq that left its channel (new seqs are always
 fresh, so a seq missing from the previous boundary's set was consumed).

@@ -4,7 +4,7 @@ correct protocols and they trip on deliberately broken ones."""
 import pytest
 
 from repro.core.oracles import AlwaysOracle, SingleOracle
-from repro.errors import SafetyViolation
+from repro.errors import ConfigurationError, SafetyViolation
 from repro.sim.engine import Engine
 from repro.sim.messages import RefInfo
 from repro.sim.monitors import (
@@ -97,7 +97,7 @@ class TestConnectivityMonitor:
         assert mon.checks > 0
 
     def test_check_every_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ConnectivityMonitor(check_every=0)
 
 
@@ -119,7 +119,7 @@ class TestPotentialMonitor:
         assert all(v == 0 for v in mon.values)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             PotentialMonitor(check_every=-1)
 
 

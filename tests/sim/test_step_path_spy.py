@@ -10,7 +10,10 @@ Two spies watch real runs:
   Lemma 2 and Lemma 3 monitors and a tracer. Observers run once per step,
   so each of those is an O(n) scan per step; the first standard probes
   shipped with exactly that (``gone``/``asleep`` scanned every process,
-  ``edges`` rebuilt a snapshot per sample).
+  ``edges`` rebuilt a snapshot per sample). The same spy watches a whole
+  soa run with a JSONL trace sink attached: the tracer rides the core,
+  so the run reads no object, exports nothing and records each step
+  exactly once.
 * The **step-path spy** is a ``sys.setprofile`` hook live only inside
   ``Engine.step`` and ``EngineCore.run_batch``. It records every Python
   code object that runs there and every ``__init__`` call. That checks
@@ -44,6 +47,7 @@ from repro.core.scenarios import (
 from repro.graphs import generators as gen
 from repro.graphs.livegraph import LiveGraph
 from repro.obs.metrics import REGISTRY
+from repro.obs.trace import JsonlTraceSink
 from repro.overlays.builders import build_overlay_engine
 from repro.overlays.clique import CliqueLogic
 from repro.sim.engine import Engine
@@ -135,6 +139,24 @@ def test_observers_read_no_population_scan(monkeypatch, engine_mode: str) -> Non
     assert len(recorder.steps) == engine.step_count > 0
     assert engine.asleep_count == 0  # sleeper-free: no induced-subgraph path
     assert spy.reads == {}, dict(spy.reads)
+
+
+def test_traced_soa_run_reads_no_objects(monkeypatch, tmp_path) -> None:
+    sink = JsonlTraceSink(str(tmp_path / "run.jsonl"), metrics_every=64)
+    engine = _population("fdp", "soa", tracer=sink)
+    engine.attach()
+    spy = _ObserverSpy(monkeypatch)
+    for cls, name in ((EngineCore, "export_to"), (JsonlTraceSink, "record")):
+        monkeypatch.setattr(cls, name, spy._counted(name, getattr(cls, name)))
+    spy.observing = True
+    try:
+        engine.run(STEPS)
+    finally:
+        spy.observing = False
+    sink.close()
+    assert engine.core_status["reason"] is None, engine.core_status
+    assert engine.step_count == STEPS
+    assert spy.reads == {"record": STEPS}, dict(spy.reads)
 
 
 # ---------------------------------------------------------------- step path

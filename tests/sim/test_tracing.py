@@ -7,6 +7,7 @@ from repro.core.scenarios import (
     build_fdp_engine,
     choose_leaving,
 )
+from repro.errors import ConfigurationError
 from repro.graphs import generators as gen
 from repro.obs.metrics import REGISTRY
 from repro.sim.engine import Engine
@@ -71,7 +72,7 @@ class TestTracer:
 
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_capacity_validated(self, capacity):
-        with pytest.raises(ValueError, match="capacity must be >= 1"):
+        with pytest.raises(ConfigurationError, match="capacity must be >= 1"):
             Tracer(capacity=capacity)
 
     def test_long_run_memory_stays_bounded(self):
@@ -113,7 +114,7 @@ class TestSeriesRecorder:
         assert rec.steps == [0]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SeriesRecorder(every=0)
 
     def test_probe_values_track_state(self):
