@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from random import Random
 from collections.abc import Callable, Iterable, Sequence
+from typing import Any
 
 from repro.core.fdp import FDPProcess
 from repro.core.fsp import FSPProcess
@@ -167,6 +168,46 @@ def choose_leaving(
     return frozenset(leaving)
 
 
+def _plant_anchors(
+    procs: dict[int, Any],
+    comps: Sequence[frozenset[int]],
+    rng: Random,
+    corruption: Corruption,
+    actual: Callable[[int], Mode],
+) -> None:
+    """With probability ``anchor_prob``, anchor each pid (in pid order)
+    at a uniformly drawn *other* member of its own component.
+
+    Each component is sorted once; a draw picks index ``k`` among the
+    ``len(members) - 1`` others and skips *pid*'s own index, which is
+    the same RNG call and the same target as indexing the sorted list
+    of the others, in O(n log n) for the whole population.
+    """
+    if corruption.anchor_prob <= 0.0:
+        return
+    members_of: dict[int, list[int]] = {}
+    index_of: dict[int, int] = {}
+    for comp in comps:
+        members = sorted(comp)
+        for i, pid in enumerate(members):
+            members_of[pid] = members
+            index_of[pid] = i
+    for pid, proc in procs.items():
+        if rng.random() >= corruption.anchor_prob:
+            continue
+        members = members_of[pid]
+        if len(members) < 2:
+            continue
+        k = rng.randrange(len(members) - 1)
+        if k >= index_of[pid]:
+            k += 1
+        target = members[k]
+        proc.anchor = procs[target].self_ref
+        proc.anchor_belief = random_mode_claim(
+            rng, actual(target), corruption.anchor_lie_prob
+        )
+
+
 def _build_engine(
     process_cls: type[FDPProcess],
     capability: Capability,
@@ -199,10 +240,6 @@ def _build_engine(
     procs = {pid: process_cls(pid, actual(pid)) for pid in range(n)}
 
     comps = components_of_edges(n, edges)
-    comp_of: dict[int, frozenset[int]] = {}
-    for comp in comps:
-        for pid in comp:
-            comp_of[pid] = comp
 
     # Neighbourhoods from the edge list, beliefs possibly corrupted.
     for a, b in edges:
@@ -215,18 +252,7 @@ def _build_engine(
 
     # Spurious anchors (within the process's own component, so corruption
     # does not manufacture connectivity across components).
-    if corruption.anchor_prob > 0.0:
-        for pid in range(n):
-            if rng.random() >= corruption.anchor_prob:
-                continue
-            others = sorted(comp_of[pid] - {pid})
-            if not others:
-                continue
-            target = others[rng.randrange(len(others))]
-            procs[pid].anchor = procs[target].self_ref
-            procs[pid].anchor_belief = random_mode_claim(
-                rng, actual(target), corruption.anchor_lie_prob
-            )
+    _plant_anchors(procs, comps, rng, corruption, actual)
 
     engine = Engine(
         procs.values(),
@@ -331,10 +357,6 @@ def build_framework_engine(
         pid: FrameworkProcess(pid, actual(pid), logic_cls) for pid in range(n)
     }
     comps = components_of_edges(n, edges)
-    comp_of: dict[int, frozenset[int]] = {}
-    for comp in comps:
-        for pid in comp:
-            comp_of[pid] = comp
 
     from repro.sim.refs import KeyProvider
 
@@ -353,18 +375,7 @@ def build_framework_engine(
             rng, actual(b), corruption.belief_lie_prob
         )
 
-    if corruption.anchor_prob > 0.0:
-        for pid in range(n):
-            if rng.random() >= corruption.anchor_prob:
-                continue
-            others = sorted(comp_of[pid] - {pid})
-            if not others:
-                continue
-            target = others[rng.randrange(len(others))]
-            procs[pid].anchor = procs[target].self_ref
-            procs[pid].anchor_belief = random_mode_claim(
-                rng, actual(target), corruption.anchor_lie_prob
-            )
+    _plant_anchors(procs, comps, rng, corruption, actual)
 
     engine = Engine(
         procs.values(),

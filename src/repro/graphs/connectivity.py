@@ -7,6 +7,8 @@ at runtime) because the simulator calls these in hot monitoring loops:
   per-step safety monitor of Lemma 2 (amortized near-O(1) per edge);
 * :func:`weakly_connected_components` — union-find over an undirected
   adjacency, O(V + E α(V));
+* :func:`first_member_labels` — the canonical component labelling the
+  engine's ``component_labels`` query answers with, whoever computes it;
 * :func:`strongly_connected_components` — iterative Tarjan (no recursion,
   so deep path graphs cannot blow the Python stack);
 * :func:`reachable_from` / :func:`can_reach` — plain BFS utilities used by
@@ -24,6 +26,7 @@ from typing import TypeVar
 __all__ = [
     "UnionFind",
     "weakly_connected_components",
+    "first_member_labels",
     "is_weakly_connected",
     "strongly_connected_components",
     "is_strongly_connected",
@@ -115,6 +118,14 @@ def weakly_connected_components(
             if nb in uf:
                 uf.union(node, nb)
     return uf.groups()
+
+
+def first_member_labels(items: Iterable[T], find: Callable[[T], Hashable]) -> dict[T, T]:
+    """Label each of *items* with the first item, in iteration order,
+    that has the same *find* root: a labelling that names each set by
+    its first member, whatever representatives *find* picked."""
+    first: dict[Hashable, T] = {}
+    return {item: first.setdefault(find(item), item) for item in items}
 
 
 def is_weakly_connected(adjacency: Mapping[T, Iterable[T]]) -> bool:

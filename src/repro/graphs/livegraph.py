@@ -70,7 +70,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from repro.graphs.connectivity import UnionFind
+from repro.graphs.connectivity import UnionFind, first_member_labels
 from repro.graphs.snapshot import Edge, EdgeKind, NodeView, ProcessGraph
 from repro.sim.refs import pid_of
 from repro.sim.states import Mode, PState
@@ -524,6 +524,15 @@ class LiveGraph:
             elif uf.find(pid) != root:
                 return False
         return True
+
+    def component_labels(self, pids: Iterable[int]) -> dict[int, int]:
+        """Label of every non-gone pid in *pids*: the first pid, in
+        *pids* order, of its weakly connected component."""
+        pstate = self._pstate
+        return first_member_labels(
+            (p for p in pids if pstate.get(p, PState.GONE) is not PState.GONE),
+            self._fresh_uf().find,
+        )
 
     def n_components(self) -> int:
         """Number of weakly connected components among non-gone processes."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from random import Random
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from repro.errors import ConfigurationError
 from repro.sim.messages import RefInfo
@@ -97,7 +97,10 @@ def scatter_garbage_messages(
     checked to be non-gone and weakly connected in the *current* process
     graph, and a cross-component (or dead-process) pair raises
     :class:`~repro.errors.ConfigurationError` before anything is posted.
-    Chaos campaigns and the scenario builders run with the check on; it
+    One :meth:`~repro.sim.engine.Engine.component_labels` answer serves
+    the whole call: a confined plant adds an edge inside one component,
+    and components never merge, so the labelling stays exact. Chaos
+    campaigns and the scenario builders run with the check on; it
     defaults to off so callers deliberately sampling the whole population
     (single-component topologies) pay nothing.
     """
@@ -106,31 +109,38 @@ def scatter_garbage_messages(
     subject_pool = list(subjects) if subjects is not None else list(engine.processes)
     if not target_pool or not subject_pool:
         return 0
+    # Raw connectivity (paths through asleep processes count) is what
+    # leak detection is about, not Lemma 2's relevance-restricted
+    # invariant. Gone processes carry no label.
+    components = engine.component_labels() if confine_component else None
     planted = 0
     for _ in range(count):
         tpid = target_pool[rng.randrange(len(target_pool))]
         spid = subject_pool[rng.randrange(len(subject_pool))]
         label = labels[rng.randrange(len(labels))]
-        if confine_component:
-            for pid in (tpid, spid):
-                if engine.processes[pid].state is PState.GONE:
-                    raise ConfigurationError(
-                        f"garbage injection references gone process {pid}; "
-                        "an admissible adversary cannot revive departed refs"
-                    )
-            # Raw connectivity (paths through asleep processes count) is
-            # what leak detection is about, not Lemma 2's relevance-
-            # restricted invariant.
-            if not engine.same_component((tpid, spid)):
-                raise ConfigurationError(
-                    f"garbage message would leak a reference across weak "
-                    f"components: target {tpid} and subject {spid} are not "
-                    "connected, so the injection would fabricate connectivity"
-                )
+        if components is not None:
+            home = components.get(tpid)
+            if home is None or components.get(spid) != home:
+                _confinement_error(engine, tpid, spid)
         claim = random_mode_claim(rng, engine.actual_mode(spid), lie_prob)
         plant_ref_message(engine, tpid, label, spid, claim)
         planted += 1
     return planted
+
+
+def _confinement_error(engine: Engine, tpid: int, spid: int) -> NoReturn:
+    """Raise why planting a *spid* reference at *tpid* is inadmissible."""
+    for pid in (tpid, spid):
+        if engine.state_of(pid) is PState.GONE:
+            raise ConfigurationError(
+                f"garbage injection references gone process {pid}; "
+                "an admissible adversary cannot revive departed refs"
+            )
+    raise ConfigurationError(
+        f"garbage message would leak a reference across weak "
+        f"components: target {tpid} and subject {spid} are not "
+        "connected, so the injection would fabricate connectivity"
+    )
 
 
 def plant_unknown_label_messages(

@@ -78,7 +78,7 @@ iteration orders stay bit-identical between the two cores.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import (
@@ -87,6 +87,7 @@ from repro.errors import (
     StateViolation,
     UnknownActionError,
 )
+from repro.graphs.connectivity import first_member_labels
 from repro.sim.messages import Message, RefInfo
 from repro.sim.refs import REF_GEN_BITS, REF_SLOT_BITS
 from repro.sim.replay import ReplayScheduler
@@ -949,6 +950,18 @@ class EngineCore:
             parent[i] = p
         self._labels = parent
         return parent
+
+    def component_labels(self, pids: Iterable[int]) -> dict[int, int]:
+        """Label of every non-gone pid in *pids*: the first pid, in
+        *pids* order, of its weakly connected component (the engine's
+        ``component_labels`` answer, from :meth:`_component_labels`)."""
+        roots = self._component_labels()
+        state_ = self.state_
+        slot_of = self.slot_of
+        return first_member_labels(
+            (pid for pid in pids if state_[slot_of[pid]] != _GONE),
+            lambda pid: roots[slot_of[pid]],
+        )
 
     def same_component(self, slots: list[int]) -> bool:
         """Whether every slot in *slots* is non-gone and all of them lie

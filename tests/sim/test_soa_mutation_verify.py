@@ -6,14 +6,16 @@ wrong message label, skips the generation bump on departure, resets a
 recycled slot's generation, overlaps two packed-record fields,
 dispatches deliveries to a misspelt kernel, loses a send from the
 scheduler pool, drops a progress mark, labels components without one
-of its in-edges, or walks a slot's neighbours without its channel
+of its in-edges, groups the engine's component labels by slot instead
+of by root, or walks a slot's neighbours without its channel
 subjects —
 swaps the mutated ``EngineCore`` in, and asserts that the named oracle
 rejects it:
 
 * ``verify`` — an engine under ``engine_mode="verify"`` raises on its
-  first divergent step (or, for a misspelt kernel, while building the
-  core). It compares every counter the core exports, the progress
+  first divergent step (or at attach: a misspelt kernel while building
+  the core, a wrong component labelling when attach cross-checks the
+  core's partition against the live graph's). It compares every counter the core exports, the progress
   marks included. Its predicate asks the engine's query facade for Φ, partners,
   hop distances, connectivity and the legitimacy clauses every 13
   steps, and verify mode cross-checks each answer against the core's,
@@ -98,6 +100,12 @@ MUTATIONS = [
         "verify",
     ),
     (
+        "component_labels_use_slot_not_root",
+        "            lambda pid: roots[slot_of[pid]],\n",
+        "            lambda pid: slot_of[pid],\n",
+        "verify",
+    ),
+    (
         "neighbour_walk_skips_channel_subjects",
         "        for rec in self.ch[u].values():\n"
         "            slots.add(((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1)\n",
@@ -176,8 +184,10 @@ def _verify_catches() -> bool:
     for seed in range(8):
         engine = _build(seed, "verify")
         try:
-            engine.attach()  # builds the core and its kernel dispatch
-        except AttributeError:  # a dispatch entry naming no kernel
+            # builds the core and its kernel dispatch, and cross-checks
+            # the core's component labelling
+            engine.attach()
+        except (AttributeError, StateViolation):  # no such kernel; labels diverge
             return True
         try:
             engine.run(3000, until=_ask_queries, check_every=13)
