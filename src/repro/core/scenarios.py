@@ -22,7 +22,6 @@ from repro.core.fdp import FDPProcess
 from repro.core.fsp import FSPProcess
 from repro.core.oracles import ORACLES, SingleOracle
 from repro.errors import ConfigurationError
-from repro.graphs.connectivity import weakly_connected_components
 from repro.sim.engine import Engine
 from repro.sim.faults import random_mode_claim, scatter_garbage_messages
 from repro.sim.refs import pid_of
@@ -127,14 +126,26 @@ HEAVY_CORRUPTION = Corruption(
 def components_of_edges(
     n: int, edges: Iterable[tuple[int, int]]
 ) -> list[frozenset[int]]:
-    """Weakly connected components of the directed edge list over 0..n-1."""
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
+    """Weakly connected components of the directed edge list over 0..n-1,
+    ordered by their smallest member: one union-find pass over the
+    edges, with path halving."""
+    parent = list(range(n))
     for a, b in edges:
-        if a not in adj or b not in adj:
+        if not (0 <= a < n and 0 <= b < n):
             raise ConfigurationError(f"edge ({a}, {b}) outside 0..{n - 1}")
-        adj[a].add(b)
-        adj[b].add(a)
-    return weakly_connected_components(adj)
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[b] = a
+    members: dict[int, list[int]] = {}
+    for i in range(n):
+        root = i
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        members.setdefault(root, []).append(i)
+    return [frozenset(m) for m in members.values()]
 
 
 def choose_leaving(

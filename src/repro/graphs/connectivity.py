@@ -14,7 +14,9 @@ at runtime) because the simulator calls these in hot monitoring loops:
 * :func:`reachable_from` / :func:`can_reach` — plain BFS utilities used by
   hibernation detection and by the universality planner's shortest paths;
 * :func:`hop_distance` — bidirectional BFS over a neighbour function, for
-  the engine's hop-distance query.
+  the engine's hop-distance query;
+* :func:`connecting_path` — the same search returning some path, with
+  which the SoA core repairs its component certificate.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "reverse_reachable",
     "bfs_shortest_path",
     "hop_distance",
+    "connecting_path",
 ]
 
 T = TypeVar("T", bound=Hashable)
@@ -251,6 +254,52 @@ def bfs_shortest_path(
                     path.append(parent[path[-1]])
                 return path[::-1]
             frontier.append(nb)
+    return None
+
+
+def connecting_path(
+    neighbours: Callable[[T], Iterable[T]], s: T, t: T
+) -> list[T] | None:
+    """Some *s*–*t* path (a node list from *s* to *t*) in the undirected
+    graph that *neighbours* enumerates, or ``None`` when *t* is
+    unreachable.
+
+    Bidirectional BFS that always grows the smaller frontier and stops
+    at the first node both searches reached, so the path need not be
+    shortest; across a genuine split the search ends once the smaller
+    side is exhausted.
+    """
+    if s == t:
+        return [s]
+    # node -> predecessor towards its search's root (None at the root)
+    near: dict[T, T | None] = {s: None}
+    far: dict[T, T | None] = {t: None}
+    near_front, far_front = [s], [t]
+    flipped = False
+    while near_front and far_front:
+        if len(near_front) > len(far_front):
+            near, far, near_front, far_front = far, near, far_front, near_front
+            flipped = not flipped
+        nxt: list[T] = []
+        for u in near_front:
+            for v in neighbours(u):
+                if v in near:
+                    continue
+                near[v] = u
+                if v in far:
+                    path: list[T] = []
+                    x: T | None = v
+                    while x is not None:
+                        path.append(x)
+                        x = near[x]
+                    path.reverse()
+                    x = far[v]
+                    while x is not None:
+                        path.append(x)
+                        x = far[x]
+                    return path[::-1] if flipped else path
+                nxt.append(v)
+        near_front = nxt
     return None
 
 

@@ -63,7 +63,8 @@ graph (or the object model) does. Verify mode answers from the live graph and cr
 the core's answer. In soa mode the ``processes``/``channels`` properties
 complete any export the core deferred (at a predicate boundary or at the
 end of a run), so object readers stay exact; the open-system operations
-(``admit``, ``request_leave``, ``can_reap``, ``reap``) never need it.
+(``admit``, ``request_leave``, ``can_reap``, ``reap``, ``reap_gone``)
+never need it.
 """
 
 from __future__ import annotations
@@ -174,13 +175,19 @@ class ExecutedStep:
         )
 
 
+#: The per-pid tally fields of :class:`EngineStats` (pid → count dicts).
+_TALLY_FIELDS: tuple[str, ...] = ("timeouts_by", "deliveries_by", "sent_by", "received_by")
+
+
 @dataclass
 class EngineStats:
     """Counters accumulated over a run.
 
     The ``*_by`` dicts hold per-process counts (pid → count) — the raw
     material for fairness and load-balance analysis: who executed how
-    often, who sent how much, whose channel received how much.
+    often, who sent how much, whose channel received how much. After a
+    struct-of-arrays batch they are deferred (:meth:`defer_tallies`) and
+    built on their first read.
     """
 
     steps: int = 0
@@ -203,6 +210,28 @@ class EngineStats:
     @staticmethod
     def _bump(counter: dict, pid: int) -> None:
         counter[pid] = counter.get(pid, 0) + 1
+
+    def defer_tallies(self, fill: Callable[["EngineStats"], None]) -> None:
+        """Drop the ``*_by`` dicts until one is read; *fill* then writes
+        all four. A soa engine defers them at every batch export, so
+        only a reader pays the O(n) build."""
+        d = self.__dict__
+        for name in _TALLY_FIELDS:
+            d.pop(name, None)
+        d["_fill_tallies"] = fill
+
+    def load_tallies(self) -> None:
+        """Build deferred ``*_by`` dicts now (no-op if none are)."""
+        fill = self.__dict__.pop("_fill_tallies", None)
+        if fill is not None:
+            fill(self)
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for attributes the instance lacks: a deferred tally.
+        if name in _TALLY_FIELDS and "_fill_tallies" in self.__dict__:
+            self.load_tallies()
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def as_dict(self) -> dict[str, int]:
         """Scalar counters only (per-pid detail via the ``*_by`` attrs)."""
@@ -599,7 +628,8 @@ class Engine:
 
     def _checked(self, name: str, expected: Any, answer: Any) -> Any:
         """Verify mode's cross-check of one facade query: *answer* (from
-        the live graph or the objects) must equal the core's *expected*.
+        the live graph, the objects or, for the core's kept component
+        labels, a full relabel) must equal the core's *expected*.
 
         Every read method of the query facade follows one pattern. In
         soa mode a core that holds the current state (:meth:`_query_core`)
@@ -611,8 +641,8 @@ class Engine:
         """
         if expected != answer:
             raise StateViolation(
-                f"core query {name} diverged from the live graph at step "
-                f"{self.step_count}: core={expected!r} live={answer!r}"
+                f"core query {name} diverged from its oracle at step "
+                f"{self.step_count}: core={expected!r} oracle={answer!r}"
             )
         return answer
 
@@ -726,11 +756,15 @@ class Engine:
         tpid = pid_of(target)
         if tpid not in processes:
             raise ConfigurationError(f"message targets unknown process {tpid}")
-        for ref in iter_refs(args):
-            if pid_of(ref) not in processes:
-                raise ConfigurationError(
-                    f"message parameter references unknown process {pid_of(ref)}"
-                )
+        for arg in args:
+            # One flat pass: a top-level RefInfo (every protocol send and
+            # planted message) is checked in place; only a container
+            # argument takes the nested walk.
+            for ref in (arg.ref,) if type(arg) is RefInfo else iter_refs(arg):
+                if pid_of(ref) not in processes:
+                    raise ConfigurationError(
+                        f"message parameter references unknown process {pid_of(ref)}"
+                    )
         if sender is not None and processes[tpid].state is PState.GONE:
             return self._bounce(sender, tpid, args)
         seq = self._msg_seq
@@ -1035,25 +1069,51 @@ class Engine:
             raise ConfigurationError(f"no process with pid {pid}")
         if state is not PState.GONE:
             raise StateViolation("only gone processes can be reaped")
-        core = self._core
-        if core is not None and not self._core_stale:
-            core.reap(core.slot_of[pid])  # raises if still referenced
-        elif self._object_side_referenced(pid):
+        if not self.reap_gone((pid,))[0]:
             raise StateViolation(f"process {pid} is still referenced; cannot reap")
-        channel = self._channels.pop(pid)  # a deferred export skips the slot
-        channel.observer = None
-        del self._processes[pid]
-        self._retired_pids.add(pid)
-        if not self._lifecycle_stale:
-            self._gone_count -= 1
-        live = self._live
-        if live is not None and not self._live_stale:
-            live.on_reap(pid)
-        self._stale = True
-        self.reaped_count += 1
-        self.churn_journal.append(
-            {"at": self.step_count, "op": "reap", "pid": pid}
-        )
+
+    def reap_gone(self, pids: Iterable[int]) -> tuple[list[int], list[int]]:
+        """Reap every pid of *pids*, in order, that is gone and
+        unreferenced (:meth:`can_reap`) when its turn comes, so a reap
+        that unpins a later pid lets the same sweep reap it too.
+
+        Returns the reaped pids and the pids unknown to the engine (never
+        admitted or already reaped). One call per churn boundary: the
+        core, while current, answers every test from its columns.
+        """
+        reaped: list[int] = []
+        unknown: list[int] = []
+        core = self._core if not self._core_stale else None
+        check = core is not None and self._engine_mode == "verify"
+        processes = self._processes
+        for pid in pids:
+            proc = processes.get(pid)
+            if proc is None:
+                unknown.append(pid)
+                continue
+            if core is not None:
+                slot = core.slot_of[pid]
+                if check:
+                    self._checked("state_of", core.state_of(slot), proc.state)
+                if not core.can_reap(slot):
+                    continue
+                core.reap(slot)
+            elif self.state_of(pid) is not PState.GONE or self._object_side_referenced(pid):
+                continue
+            channel = self._channels.pop(pid)  # a deferred export skips the slot
+            channel.observer = None
+            del processes[pid]
+            self._retired_pids.add(pid)
+            if not self._lifecycle_stale:
+                self._gone_count -= 1
+            live = self._live
+            if live is not None and not self._live_stale:
+                live.on_reap(pid)
+            self._stale = True
+            self.reaped_count += 1
+            self.churn_journal.append({"at": self.step_count, "op": "reap", "pid": pid})
+            reaped.append(pid)
+        return reaped, unknown
 
     # ------------------------------------------------------------------ execution
 
@@ -1717,9 +1777,9 @@ class Engine:
         of them lie in one weakly connected component of PG (paths
         through any non-gone process count, asleep ones included).
 
-        Answered by the core's component labelling (computed at most
-        once per boundary) or by the live union-find (see
-        :meth:`_checked`).
+        Answered by the core's kept component labels (a certificate walk
+        after each batch, a full relabel only after a genuine split) or
+        by the live union-find (see :meth:`_checked`).
         """
         core = self._query_core()
         if core is None:
@@ -1729,6 +1789,7 @@ class Engine:
         connected = None not in slots and core.same_component(slots)
         if self._engine_mode == "soa":
             return connected
+        self._check_labels(core)
         return self._checked(
             "same_component", connected, self._ensure_live().same_component(members)
         )
@@ -1753,6 +1814,7 @@ class Engine:
             labels = core.component_labels(self._processes)
             if self._engine_mode == "soa":
                 return labels
+            self._check_labels(core)
             return self._checked(
                 "component_labels",
                 labels,
@@ -1762,6 +1824,11 @@ class Engine:
         if live is not None and not self._live_stale:
             return live.component_labels(self._processes)
         return self._scan_component_labels()
+
+    def _check_labels(self, core: Any) -> None:
+        """Verify mode: the core's kept, certificate-checked labels must
+        give the partition a full relabel of the core gives."""
+        self._checked("component labelling", core.partition(), core.partition(fresh=True))
 
     def _scan_component_labels(self) -> dict[int, int]:
         """:meth:`component_labels` by one union-find pass over the

@@ -87,7 +87,8 @@ from repro.errors import (
     StateViolation,
     UnknownActionError,
 )
-from repro.graphs.connectivity import first_member_labels
+from repro.graphs.connectivity import connecting_path, first_member_labels
+from repro.sim.engine import _TALLY_FIELDS
 from repro.sim.messages import Message, RefInfo
 from repro.sim.refs import REF_GEN_BITS, REF_SLOT_BITS
 from repro.sim.replay import ReplayScheduler
@@ -188,7 +189,7 @@ _COUNTERS: tuple[tuple[str, str], ...] = (
 
 #: The per-pid tallies: a per-slot list on the core and a pid → count
 #: dict of the same name on :class:`~repro.sim.engine.EngineStats`.
-_TALLIES: tuple[str, ...] = ("timeouts_by", "deliveries_by", "sent_by", "received_by")
+_TALLIES = _TALLY_FIELDS
 
 
 def _engine_side(engine: Engine) -> Iterator[tuple[str, Any, str]]:
@@ -287,6 +288,12 @@ class EngineCore:
         "_pos",
         "step_log",
         "_labels",
+        "_cert",
+        "_cert_pending",
+        "_next_label",
+        "label_checks",
+        "label_repairs",
+        "label_relabels",
     )
 
     def __init__(self, engine: Engine) -> None:
@@ -414,8 +421,19 @@ class EngineCore:
         #: (see :meth:`drive` and :meth:`take_steps`), else None.
         self.step_log: list[tuple] | None = None
         #: weak-component label per slot, computed on the first
-        #: connectivity query after a change (see :meth:`_component_labels`).
+        #: connectivity query and then kept: ``_cert`` is the certificate
+        #: of slot pairs that proves it, ``_cert_pending`` says a batch
+        #: ran since it was last walked, ``_next_label`` is the next
+        #: unused label (see :meth:`_component_labels`).
         self._labels: list[int] | None = None
+        self._cert: list[tuple[int, int]] = []
+        self._cert_pending = False
+        self._next_label = 0
+        #: certificate walks, pairs repaired by a search, and full
+        #: relabels (the first labelling included).
+        self.label_checks = 0
+        self.label_repairs = 0
+        self.label_relabels = 0
 
     def _by_list(self, by: dict[int, int], n: int, name: str) -> list[int]:
         arr = [0] * n
@@ -669,8 +687,20 @@ class EngineCore:
         the holder.
         """
 
-        held: list[int] = []
-        held.extend(self.N[u])
+        dp = self.dead_pins
+        for v in self._held(u):
+            if v == u:
+                continue
+            c = dp.get(v, 0) + delta
+            if c:
+                dp[v] = c
+            else:
+                del dp[v]
+
+    def _held(self, u: int) -> list[int]:
+        """Every slot *u* physically references, with multiplicity:
+        neighbourhood, anchor, parked store, channel subjects."""
+        held = list(self.N[u])
         a = self.anchor_[u]
         if a >= 0:
             held.append(a)
@@ -680,48 +710,46 @@ class EngineCore:
             v = ((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1
             if v >= 0:
                 held.append(v)
-        dp = self.dead_pins
-        for v in held:
-            if v == u:
-                continue
-            c = dp.get(v, 0) + delta
-            if c:
-                dp[v] = c
-            else:
-                del dp[v]
+        return held
 
     def set_leaving(self, u: int) -> None:
         """Mirror of ``Engine.request_leave``: flip slot *u* to leaving.
 
         Φ reprices in one pass over *u*'s in-holders: every in-edge whose
         normalized belief was valid (staying) turns invalid and vice
-        versa. The in-index names the holders; their stores and channels
-        are walked for the belief breakdown — a per-session-end cost, so
-        no per-edge belief buckets burden the hot path.
+        versa. The in-index names the holders and their edge counts;
+        their stores, and only where those fall short of the count their
+        channels, are walked for the belief breakdown — a per-session-end
+        cost, so no per-edge belief buckets burden the hot path.
         """
 
         if self.mode_[u] == _LEAVING:
             return
+        N, anchor_, abelief_ = self.N, self.anchor_, self.abelief_
+        parked = self.parked if self.is_fsp else None
         staying = leaving = 0
-        for src in self.in_[u]:
-            bel = self.N[src].get(u, -1)
+        for src, count in self.in_[u].items():
+            held = staying + leaving
+            bel = N[src].get(u, -1)
             if bel >= 0:
                 if bel == _LEAVING:
                     leaving += 1
                 else:
                     staying += 1
-            if self.anchor_[src] == u:
-                if self.abelief_[src] == _LEAVING:
+            if anchor_[src] == u:
+                if abelief_[src] == _LEAVING:
                     leaving += 1
                 else:
                     staying += 1
-            if self.is_fsp:
-                bel = self.parked[src].get(u, -1)
+            if parked is not None:
+                bel = parked[src].get(u, -1)
                 if bel >= 0:
                     if bel == _LEAVING:
                         leaving += 1
                     else:
                         staying += 1
+            if staying + leaving - held == count:
+                continue  # every src → u edge is a stored one
             for rec in self.ch[src].values():
                 if ((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1 == u:
                     if ((rec >> _BEL_SHIFT) & 3) == _LEAVING:
@@ -761,7 +789,6 @@ class EngineCore:
                 f"process {pid} (slot {u}) is still referenced; cannot reap"
             )
         self._pin_holdings(u, -1)
-        self._labels = None
         self._pending0 -= len(self.ch[u])
         for name in _TALLIES:
             arr = getattr(self, name)
@@ -836,9 +863,10 @@ class EngineCore:
             for name in _TALLIES:
                 getattr(self, name).append(0)
         self.slot_of[pid] = u
-        self._labels = None
         self._fill_slot(u, proc, stores)
         self._out_edges(u, 1)
+        if self._labels is not None:
+            self._join_labels(u)
         self.last_progress = self.steps  # Engine.admit marks progress too
         # The engine's scheduler wake consumes one freshness stamp.
         self.clock += 1
@@ -916,21 +944,16 @@ class EngineCore:
         """Lifecycle state of slot *u*."""
         return _STATE_BY_CODE[self.state_[u]]
 
-    def _component_labels(self) -> list[int]:
-        """Weak-component label of every slot, by union-find over the
-        ``in_`` index (every edge of PG is some ``in_[v][u]`` entry with
-        a non-gone source *u*). Gone slots keep singleton labels.
-
-        Computed lazily: anything that can change PG (a batch, a
-        mirrored step, an admit, a reap) drops the cache, so a churn
-        boundary pays at most one O(V + distinct pairs) labelling for
-        all the connectivity queries it issues.
-        """
-        labels = self._labels
-        if labels is not None:
-            return labels
+    def _relabel(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """One full labelling: the weak-component label of every slot, by
+        union-find over the ``in_`` index (every edge of PG is some
+        ``in_[v][u]`` entry with a non-gone source *u*), and its
+        certificate, the ``(v, u)`` edge of every successful union: a
+        spanning forest of each component. Gone slots keep singleton
+        labels. O(V + distinct pairs); stores nothing."""
         state_ = self.state_
         parent = list(range(len(self.pids)))
+        cert: list[tuple[int, int]] = []
         for v, inn in enumerate(self.in_):
             if not inn or state_[v] == _GONE:
                 continue
@@ -938,18 +961,163 @@ class EngineCore:
             while parent[root] != root:
                 parent[root] = parent[parent[root]]
                 root = parent[root]
-            for u in inn:
+            for s in inn:
+                u = s
                 while parent[u] != u:
                     parent[u] = parent[parent[u]]
                     u = parent[u]
                 if u != root:
                     parent[u] = root
+                    cert.append((v, s))
         for i, p in enumerate(parent):
             while parent[p] != p:
                 p = parent[p]
             parent[i] = p
-        self._labels = parent
-        return parent
+        return parent, cert
+
+    def _component_labels(self) -> list[int]:
+        """Weak-component label of every slot, kept across boundaries and
+        checked against a certificate instead of recomputed.
+
+        Kernel actions are copy-store-send, so components never merge:
+        after a batch the true partition can only be finer than the
+        labels. The certificate (:meth:`_relabel`'s spanning forest, kept
+        up to date) proves it is not. The first connectivity query after
+        a batch or a mirrored step walks it (:meth:`_check_certificate`);
+        only a failed repair, a genuine split, pays a full O(V + distinct
+        pairs) :meth:`_relabel`. Admits extend the labels
+        (:meth:`_join_labels`), reaps and departure flips keep them, and
+        an out-of-band mutation rebuilds the whole core. Gone slots'
+        labels are stale: every query filters gone slots first.
+        """
+        if self._labels is None:
+            self._full_relabel()
+        elif self._cert_pending:
+            self._cert_pending = False
+            self.label_checks += 1
+            if not self._check_certificate():
+                self._full_relabel()
+        return self._labels  # type: ignore[return-value]
+
+    def _full_relabel(self) -> None:
+        self._labels, self._cert = self._relabel()
+        self._cert_pending = False
+        self._next_label = len(self._labels)
+        self.label_relabels += 1
+
+    def _check_certificate(self) -> bool:
+        """Walk the certificate: keep every live pair and repair every
+        dead one; False when a repair fails, i.e. the partition may have
+        split.
+
+        A pair is live when both slots are non-gone and an ``in_`` entry
+        joins them either way. A dead pair between non-gone slots is
+        replaced by a live path between them (:meth:`_reconnect`). The
+        pairs at gone slots are cut out: the non-gone slots the gone
+        ones held together in the certificate are reconnected to the
+        first of them.
+        """
+        state_ = self.state_
+        in_ = self.in_
+        kept: list[tuple[int, int]] = []
+        keep = kept.append
+        dead: list[tuple[int, int]] = []
+        at_gone: dict[int, list[int]] = {}
+        for pair in self._cert:
+            a, b = pair
+            if state_[a] != _GONE and state_[b] != _GONE:
+                if b in in_[a] or a in in_[b]:
+                    keep(pair)
+                else:
+                    dead.append(pair)
+                continue
+            if state_[a] == _GONE:
+                at_gone.setdefault(a, []).append(b)
+            if state_[b] == _GONE:
+                at_gone.setdefault(b, []).append(a)
+        for a, b in dead:
+            if not self._reconnect(a, b, kept):
+                return False
+        seen: set[int] = set()
+        for g in at_gone:
+            if g in seen:
+                continue
+            # the certificate's neighbours of this cluster of gone slots
+            seen.add(g)
+            todo = [g]
+            ends: dict[int, None] = {}
+            while todo:
+                for x in at_gone[todo.pop()]:
+                    if state_[x] != _GONE:
+                        ends[x] = None
+                    elif x not in seen:
+                        seen.add(x)
+                        todo.append(x)
+            hub = next(iter(ends), -1)
+            for x in ends:
+                if x != hub and not self._reconnect(hub, x, kept):
+                    return False
+        self._cert = kept
+        return True
+
+    def _reconnect(self, a: int, b: int, cert: list[tuple[int, int]]) -> bool:
+        """Append to *cert* a live path between non-gone slots *a* and
+        *b*: their edge, else a surviving common neighbour, else a
+        bidirectional BFS over :meth:`neighbours`. False when none
+        exists."""
+        in_ = self.in_
+        if b in in_[a] or a in in_[b]:
+            cert.append((a, b))
+            return True
+        self.label_repairs += 1
+        na, nb = self.neighbours(a), self.neighbours(b)
+        if len(nb) < len(na):
+            na, nb = nb, na
+        for c in na:
+            if c in nb:
+                cert += ((a, c), (c, b))
+                return True
+        path = connecting_path(self.neighbours, a, b)
+        if path is None:
+            return False
+        cert += zip(path, path[1:])
+        return True
+
+    def _join_labels(self, u: int) -> None:
+        """Label admitted slot *u* with the component of its non-gone
+        neighbours, and certify it by one edge to one of them; a
+        neighbourless newcomer gets a fresh singleton label. A newcomer
+        that joins two labels merges components, so the labels are
+        dropped for a full relabel. Nothing references a newcomer yet,
+        so its neighbours are the slots it holds."""
+        labels = self._labels
+        state_ = self.state_
+        nbrs = (q for q in self._held(u) if state_[q] != _GONE)
+        c = next(nbrs, None)
+        if c is None:
+            label = self._next_label
+            self._next_label += 1
+        else:
+            label = labels[c]
+            if any(labels[q] != label for q in nbrs):
+                self._labels = None
+                return
+            self._cert.append((u, c))
+        if u < len(labels):
+            labels[u] = label
+        else:
+            labels.append(label)
+
+    def partition(self, *, fresh: bool = False) -> dict[int, int]:
+        """Label of every non-gone slot: the first slot of its component.
+        From the kept labels (:meth:`_component_labels`), or with *fresh*
+        from a new :meth:`_relabel`, the oracle verify mode holds the
+        kept labels to."""
+        labels = self._relabel()[0] if fresh else self._component_labels()
+        state_ = self.state_
+        return first_member_labels(
+            (u for u in range(len(labels)) if state_[u] != _GONE), labels.__getitem__
+        )
 
     def component_labels(self, pids: Iterable[int]) -> dict[int, int]:
         """Label of every non-gone pid in *pids*: the first pid, in
@@ -970,11 +1138,15 @@ class EngineCore:
         if not slots:
             return True
         state_ = self.state_
-        if any(state_[u] == _GONE for u in slots):
-            return False
+        for u in slots:
+            if state_[u] == _GONE:
+                return False
         labels = self._component_labels()
         root = labels[slots[0]]
-        return all(labels[u] == root for u in slots)
+        for u in slots:
+            if labels[u] != root:
+                return False
+        return True
 
     def lifecycle_clauses(self) -> tuple[bool, bool]:
         """Legitimacy conditions (i) and (ii) in their FDP reading, from
@@ -1332,7 +1504,9 @@ class EngineCore:
         ``posted`` advances exactly with ``next_seq`` and ``pending`` is
         posted minus delivered minus strict-dropped, so the hot path never
         updates either — callers that *read* them (export, verification)
-        sync first.
+        sync first. A non-strict drop counts as a delivery too, so only a
+        strict core subtracts its drops (which raise before the delivery
+        is counted).
         """
         d = self.next_seq - self._seq0
         self.posted = self._posted0 + d
@@ -1340,7 +1514,7 @@ class EngineCore:
             self._pending0
             + d
             - (self.deliveries - self._del0)
-            - (self.dropped - self._drop0)
+            - (self.dropped - self._drop0 if self.strict else 0)
         )
 
     def _after_step(self) -> None:
@@ -1417,7 +1591,7 @@ class EngineCore:
         sched = self.sched
         if sched is None:
             raise ConfigurationError("run_batch requires a scheduler; call drive()")
-        self._labels = None
+        self._cert_pending = True
         if self._pool is not None:
             return self._run_batch_random(sched, budget)
         replay = isinstance(sched, ReplayScheduler)
@@ -1603,7 +1777,7 @@ class EngineCore:
         u = self.slot_of[executed.pid]
         pre_state = self.state_[u]
         pre_gen = self.gen_[u]
-        self._labels = None
+        self._cert_pending = True
         if executed.kind == "timeout":
             self._run_timeout(u)
         else:
@@ -1728,18 +1902,7 @@ class EngineCore:
         for i, pid in enumerate(self.pids):
             if pid is None or self.state_[i] != _GONE:
                 continue
-            held: list[int] = []
-            held.extend(self.N[i])
-            a = self.anchor_[i]
-            if a >= 0:
-                held.append(a)
-            if self.is_fsp:
-                held.extend(self.parked[i])
-            for rec in self.ch[i].values():
-                v = ((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1
-                if v >= 0:
-                    held.append(v)
-            for v in held:
+            for v in self._held(i):
                 if v != i:
                     want_pins[v] = want_pins.get(v, 0) + 1
         if want_pins != self.dead_pins:
@@ -1757,14 +1920,17 @@ class EngineCore:
     # ------------------------------------------------------------------ export (soa)
 
     def export_counters(self, engine: Engine) -> None:
-        """Write the core's counters back into the engine: the run
-        statistics (per-pid tallies included), step count, clocks,
-        lifecycle counts and progress marks.
+        """Write the core's scalar counters back into the engine: the
+        run statistics, step count, clocks, lifecycle counts and
+        progress marks, every :data:`_COUNTERS` row and nothing else.
 
-        This is the cheap part of an export, done at every predicate
-        boundary. The live view is disarmed, since the process stores
-        and channels it was fed from are now behind the core; the next
-        object read completes the export (:meth:`export_to`).
+        This is the cheap part of an export, done after every core
+        batch. The per-pid tallies are O(n) dicts, so they are only
+        deferred: the engine's stats build them from the core when one
+        is first read (:meth:`~repro.sim.engine.EngineStats.defer_tallies`),
+        or at :meth:`export_to`. The live view is disarmed, since the
+        process stores and channels it was fed from are now behind the
+        core; the next object read completes the export.
         """
         self._sync_flow()
         engine._live_stale = True  # noqa: SLF001
@@ -1773,18 +1939,24 @@ class EngineCore:
         for name, owner, attr in _engine_side(engine):
             setattr(owner, attr, getattr(self, name))
         engine._lifecycle_stale = False  # noqa: SLF001
+        engine.stats.defer_tallies(self._fill_tallies)
+
+    def _fill_tallies(self, stats: Any) -> None:
+        """Write the per-pid tallies into *stats* (pid → count dicts)."""
         for name in _TALLIES:
-            setattr(engine.stats, name, self._tally(name))
+            setattr(stats, name, self._tally(name))
 
     def export_to(self, engine: Engine) -> None:
         """Write the core's whole state back into the object model.
 
-        The counters (:meth:`export_counters`), then every process's
-        lifecycle state, tracked stores and channel, so the engine
-        continues (predicates, analysis, further object-path steps) as
-        if the object loop had executed every event itself.
+        The counters (:meth:`export_counters`) and the per-pid tallies,
+        then every process's lifecycle state, tracked stores and
+        channel, so the engine continues (predicates, analysis, further
+        object-path steps) as if the object loop had executed every
+        event itself.
         """
         self.export_counters(engine)
+        engine.stats.load_tallies()
         processes = engine._processes  # noqa: SLF001
         channels = engine._channels  # noqa: SLF001
         procs = [processes[pid] if pid is not None else None for pid in self.pids]

@@ -33,10 +33,10 @@ mutations), so traffic leaves schedule replay untouched. On the
 struct-of-arrays core the core answers them in the int domain; on the
 object loop the live graph does. The churn operations read lifecycle
 states, references and the population through the same facade
-(``state_of``, ``ref``, ``alive_count``), so a boundary never forces the
-core's deferred object export. The driver writes its own
-boundary-level JSONL trace — hooking a per-step tracer would disqualify
-the run from the struct-of-arrays fast path.
+(``ref``, ``alive_count``, and one ``reap_gone`` sweep per boundary), so
+a boundary never forces the core's deferred object export. The driver
+writes its own boundary-level JSONL trace — hooking a per-step tracer
+would disqualify the run from the struct-of-arrays fast path.
 """
 
 from __future__ import annotations
@@ -188,19 +188,14 @@ class TrafficDriver:
         return True
 
     def _reap_departed(self) -> None:
-        engine = self.engine
-        done: list[int] = []
-        for pid in sorted(self._watch):
-            state = engine.state_of(pid)
-            if state is None:
-                done.append(pid)
-                continue
-            if state is PState.GONE and engine.can_reap(pid):
-                engine.reap(pid)
-                self.searchability.retire(pid)
-                self.stats.reaps += 1
-                done.append(pid)
-        self._watch.difference_update(done)
+        """One reap sweep over the watched pids, in pid order
+        (:meth:`~repro.sim.engine.Engine.reap_gone`)."""
+        reaped, unknown = self.engine.reap_gone(sorted(self._watch))
+        for pid in reaped:
+            self.searchability.retire(pid)
+        self.stats.reaps += len(reaped)
+        self._watch.difference_update(reaped)
+        self._watch.difference_update(unknown)
 
     def _admit_one(self, pool: list[int]) -> bool:
         if not pool or self._joiner is None:

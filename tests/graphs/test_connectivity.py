@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.graphs.connectivity import (
     UnionFind,
     bfs_shortest_path,
+    connecting_path,
     hop_distance,
     is_strongly_connected,
     is_weakly_connected,
@@ -231,3 +232,28 @@ class TestHopDistance:
         path = bfs_shortest_path(undirected, s, t)
         expected = None if path is None else len(path) - 1
         assert hop_distance(undirected.__getitem__, s, t) == expected
+
+
+class TestConnectingPath:
+    def test_trivial(self):
+        assert connecting_path(lambda u: (), 0, 0) == [0]
+
+    def test_two_components(self):
+        adj = {0: [1], 1: [0, 2], 2: [1], 3: [4], 4: [3]}
+        assert connecting_path(adj.__getitem__, 0, 2) == [0, 1, 2]
+        assert connecting_path(adj.__getitem__, 2, 0) == [2, 1, 0]
+        assert connecting_path(adj.__getitem__, 0, 4) is None
+
+    @given(sparse_graph_strategy(), st.integers(0, 39), st.integers(0, 39))
+    @settings(max_examples=200, deadline=None)
+    def test_walks_edges_from_s_to_t_iff_reachable(self, graph, s, t):
+        n, edges = graph
+        s, t = s % n, t % n
+        undirected = to_adj(n, edges + [(b, a) for a, b in edges])
+        path = connecting_path(undirected.__getitem__, s, t)
+        if bfs_shortest_path(undirected, s, t) is None:
+            assert path is None
+            return
+        assert path[0] == s and path[-1] == t
+        assert len(set(path)) == len(path)
+        assert all(b in undirected[a] for a, b in zip(path, path[1:]))

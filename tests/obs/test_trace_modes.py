@@ -144,3 +144,33 @@ def test_unbounded_soa_run_hands_over_at_most_the_cap(monkeypatch):
     sizes = [b - a for a, b in zip(handed, handed[1:], strict=False)]
     assert max(sizes) <= TRACE_BATCH_CAP
     assert len(sizes) == -(-50_000 // TRACE_BATCH_CAP)
+
+
+def test_soa_sink_run_defers_per_pid_tallies_until_read(tmp_path, monkeypatch):
+    """A soa run cut into 16-step batches by ``metrics_every`` exports
+    only the scalar counters after each batch: the per-pid tally dicts
+    are built from the core once ``stats.*_by`` is read, and equal the
+    object loop's."""
+    calls: list[str] = []
+    tally = EngineCore._tally
+
+    def spied(core, name):
+        calls.append(name)
+        return tally(core, name)
+
+    monkeypatch.setattr(EngineCore, "_tally", spied)
+    stats = {}
+    for mode in ("objects", "soa"):
+        with JsonlTraceSink(str(tmp_path / f"{mode}.jsonl"), metrics_every=16) as sink:
+            engine = _run("fdp", "random", mode, sink)
+            assert engine.step_count > 16 * 10
+            if mode == "soa":
+                assert engine._export_pending  # the objects were never read
+                assert engine.stats.steps == engine.step_count  # scalars are current
+                assert calls == []
+            stats[mode] = {
+                name: getattr(engine.stats, name)
+                for name in ("timeouts_by", "deliveries_by", "sent_by", "received_by")
+            }
+    assert sorted(calls) == ["deliveries_by", "received_by", "sent_by", "timeouts_by"]
+    assert stats["soa"] == stats["objects"]

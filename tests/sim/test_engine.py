@@ -79,6 +79,26 @@ class TestPost:
         with pytest.raises(ConfigurationError):
             eng.post(None, eng.ref(0), "ping", (RefInfo(Ref(9)),))
 
+    @pytest.mark.parametrize(
+        "args,error,match",
+        [
+            ((RefInfo(Ref(0)), RefInfo(Ref(9))), ConfigurationError, "unknown process 9"),
+            ((RefInfo(Ref(0)), ("x", [RefInfo(Ref(8))])), ConfigurationError, "unknown process 8"),
+            ((RefInfo(Ref(7)), {"k": RefInfo(Ref(8))}), ConfigurationError, "unknown process 7"),
+            ((RefInfo(Ref(0)), Ref(0)), TypeError, "bare Ref"),
+            ((("deep", Ref(0)),), TypeError, "bare Ref"),
+        ],
+    )
+    def test_post_validates_top_level_and_nested_refs_in_order(self, args, error, match):
+        """The flat pass over top-level RefInfo arguments and the nested
+        walk over containers raise the first bad reference, in order."""
+        eng = make([Recorder(0)])
+        with pytest.raises(error, match=match):
+            eng.post(None, eng.ref(0), "ping", args)
+        assert eng.stats.messages_posted == 0
+        ok = (RefInfo(Ref(0)), 3, ("x", [RefInfo(Ref(0))]), {"k": RefInfo(Ref(0))})
+        assert eng.post(None, eng.ref(0), "ping", ok).args == ok
+
     def test_post_counts_stats(self):
         eng = make([Recorder(0)])
         eng.post(None, eng.ref(0), "ping", ())

@@ -6,9 +6,9 @@ wrong message label, skips the generation bump on departure, resets a
 recycled slot's generation, overlaps two packed-record fields,
 dispatches deliveries to a misspelt kernel, loses a send from the
 scheduler pool, drops a progress mark, labels components without one
-of its in-edges, groups the engine's component labels by slot instead
-of by root, or walks a slot's neighbours without its channel
-subjects —
+of its in-edges, trusts a dead pair of its component certificate,
+groups the engine's component labels by slot instead of by root, or
+walks a slot's neighbours without its channel subjects —
 swaps the mutated ``EngineCore`` in, and asserts that the named oracle
 rejects it:
 
@@ -19,9 +19,12 @@ rejects it:
   marks included. Its predicate asks the engine's query facade for Φ, partners,
   hop distances, connectivity and the legitimacy clauses every 13
   steps, and verify mode cross-checks each answer against the core's,
-  so a bug in a core query (the component labelling skipping an
-  ``in_`` pair, the neighbour walk skipping channel subjects) trips it
-  too;
+  and the core's kept component labels against a full relabel, so a
+  bug in a core query (the component labelling skipping an ``in_``
+  pair, the neighbour walk skipping channel subjects) trips it too. A
+  last run splits a component for real
+  (``tests/sim/test_component_certificate.py``), which a certificate
+  that trusts a dead pair misses;
 * ``soa_vs_objects`` — bugs inside ``run_batch``, which verify mode never
   calls: the same run on ``engine_mode="soa"`` ends with different
   statistics or progress diagnostics than on the object loop;
@@ -52,6 +55,7 @@ from repro.core.scenarios import (
 from repro.errors import StateViolation
 from repro.graphs import generators as gen
 from tests.sim import test_soa_slots as slots
+from tests.sim.test_component_certificate import run_past_split, split_engine
 
 SOA_PATH = Path(__file__).resolve().parents[2] / "src" / "repro" / "sim" / "soa.py"
 
@@ -95,8 +99,14 @@ MUTATIONS = [
     ),
     (
         "labelling_skips_in_pair",
-        "            for u in inn:\n                while parent[u] != u:\n",
-        "            for u in list(inn)[1:]:\n                while parent[u] != u:\n",
+        "            for s in inn:\n                u = s\n",
+        "            for s in list(inn)[1:]:\n                u = s\n",
+        "verify",
+    ),
+    (
+        "certificate_trusts_dead_pair",
+        "                if b in in_[a] or a in in_[b]:\n                    keep(pair)\n",
+        "                if True:\n                    keep(pair)\n",
         "verify",
     ),
     (
@@ -193,6 +203,11 @@ def _verify_catches() -> bool:
             engine.run(3000, until=_ask_queries, check_every=13)
         except StateViolation:
             return True
+    # a genuine split, which the kept component labels must notice
+    try:
+        run_past_split(split_engine("verify"))
+    except StateViolation:
+        return True
     return False
 
 

@@ -61,6 +61,34 @@ class TestBitIdentity:
     def test_same_seed_is_deterministic(self):
         assert open_run("objects")[2] == open_run("objects")[2]
 
+    def test_reap_sweep_reaps_what_per_pid_calls_reap(self, monkeypatch):
+        """One ``Engine.reap_gone`` sweep per boundary reaps the same
+        pids, at the same steps and in the same order, as asking
+        ``state_of``/``can_reap``/``reap`` pid by pid, in every mode."""
+
+        def per_pid(driver):
+            engine = driver.engine
+            done = []
+            for pid in sorted(driver._watch):
+                state = engine.state_of(pid)
+                if state is None:
+                    done.append(pid)
+                elif state is PState.GONE and engine.can_reap(pid):
+                    engine.reap(pid)
+                    driver.searchability.retire(pid)
+                    driver.stats.reaps += 1
+                    done.append(pid)
+            driver._watch.difference_update(done)
+
+        for mode in ("objects", "soa", "verify"):
+            engine, _, report = open_run(mode)
+            with monkeypatch.context() as m:
+                m.setattr(TrafficDriver, "_reap_departed", per_pid)
+                ref_engine, _, ref_report = open_run(mode)
+            assert report["stats"]["reaps"] > 0
+            assert report == ref_report
+            assert engine.churn_journal == ref_engine.churn_journal
+
 
 class TestOpenSystemSafety:
     def test_fault_free_run_is_monotonically_searchable(self):
