@@ -25,6 +25,7 @@ from benchmarks.common import BUDGET, emit
 from repro.analysis.tables import format_table
 from repro.core.oracles import (
     AlwaysOracle,
+    AuditedOracle,
     NeverOracle,
     SingleOracle,
     TimeoutSingleOracle,
@@ -32,7 +33,6 @@ from repro.core.oracles import (
 from repro.core.potential import fdp_legitimate, relevant_connected_per_component
 from repro.core.scenarios import HEAVY_CORRUPTION, build_fdp_engine, choose_leaving
 from repro.graphs import generators as gen
-from repro.sim.monitors import ExitGuardMonitor
 
 
 #: grace windows swept under delay faults (queries, not steps).
@@ -48,16 +48,17 @@ def run_with_oracle(make_oracle, seeds=range(10), budget=100_000, delay=0.0):
         n = 12
         edges = gen.random_connected(n, 4, seed=seed ^ 0x11E)
         leaving = choose_leaving(n, edges, fraction=0.4, seed=seed)
-        guard = ExitGuardMonitor(SingleOracle(), strict=False)
+        # The reference SINGLE sees the pre-exit state: FDP exits in the
+        # same action as the true verdict it audits.
+        guard = AuditedOracle(make_oracle(), SingleOracle())
         engine = build_fdp_engine(
             n,
             edges,
             leaving,
             seed=seed,
-            oracle=make_oracle(),
+            oracle=guard,
             corruption=HEAVY_CORRUPTION,
         )
-        engine.exit_auditors.append(guard)
         if delay:
             from repro.net import ReliableTransport, default_net_config
 

@@ -1,13 +1,9 @@
 """Telemetry overhead benchmarks (library performance, not an experiment).
 
 The observability subsystem promises to be cheap enough to leave on:
-
-* the streaming JSONL trace sink (``repro.obs.trace.JsonlTraceSink``)
-  must keep a fault-injected FDP run within 15% of the tracing-off
-  steps/sec at n = 256 — the acceptance bound this suite enforces;
-* the provenance tracker (``repro.obs.provenance.ProvenanceTracker``)
-  is measured alongside for visibility (it keeps per-message lineage
-  records, so its budget is looser and not gated).
+the streaming JSONL trace sink (``repro.obs.trace.JsonlTraceSink``)
+must keep a fault-injected FDP run within 15% of the tracing-off
+steps/sec at n = 256 — the acceptance bound this suite enforces.
 
 Run as a module for the CI smoke check::
 
@@ -27,7 +23,6 @@ from pathlib import Path
 from benchmarks.common import save_json
 from repro.core.scenarios import HEAVY_CORRUPTION, build_fdp_engine, choose_leaving
 from repro.graphs import generators as gen
-from repro.obs.provenance import ProvenanceTracker
 from repro.obs.trace import JsonlTraceSink
 
 N = 256
@@ -40,7 +35,7 @@ def _never(engine):
     return False
 
 
-def _build(tracer=None, provenance=None):
+def _build(tracer=None):
     edges = gen.random_connected(N, 16, seed=9)
     leaving = choose_leaving(N, edges, fraction=0.3, seed=9)
     return build_fdp_engine(
@@ -50,13 +45,12 @@ def _build(tracer=None, provenance=None):
         seed=9,
         corruption=HEAVY_CORRUPTION,
         tracer=tracer,
-        provenance=provenance,
     )
 
 
-def _run_fixed(tracer=None, provenance=None) -> float:
+def _run_fixed(tracer=None) -> float:
     """One fault-injected run of STEPS steps; returns steps/sec."""
-    engine = _build(tracer=tracer, provenance=provenance)
+    engine = _build(tracer=tracer)
     engine.attach()
     start = time.perf_counter()
     engine.run(STEPS, until=_never)
@@ -74,10 +68,6 @@ def run_jsonl(path: str) -> float:
         return _run_fixed(tracer=sink)
 
 
-def run_provenance() -> float:
-    return _run_fixed(provenance=ProvenanceTracker())
-
-
 # --------------------------------------------------------- pytest-benchmark
 
 
@@ -90,11 +80,6 @@ def test_throughput_jsonl_sink(benchmark, tmp_path):
     rate = benchmark.pedantic(
         lambda: run_jsonl(str(tmp_path / "bench.jsonl")), rounds=3, iterations=1
     )
-    assert rate > 0
-
-
-def test_throughput_provenance(benchmark):
-    rate = benchmark.pedantic(run_provenance, rounds=3, iterations=1)
     assert rate > 0
 
 
@@ -112,11 +97,10 @@ def smoke() -> dict:
     """
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = str(Path(tmp) / "bench.jsonl")
-        samples: dict[str, list[float]] = {"off": [], "jsonl": [], "provenance": []}
+        samples: dict[str, list[float]] = {"off": [], "jsonl": []}
         for _ in range(REPS):
             samples["off"].append(run_off())
             samples["jsonl"].append(run_jsonl(trace_path))
-            samples["provenance"].append(run_provenance())
         rates = {sink: max(values) for sink, values in samples.items()}
     off = rates["off"]
     runs = [

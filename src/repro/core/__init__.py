@@ -7,6 +7,7 @@ from repro.core.fsp import FSPProcess
 from repro.core.oracles import (
     ORACLES,
     AlwaysOracle,
+    AuditedOracle,
     NeverOracle,
     SingleOracle,
     TimeoutSingleOracle,
@@ -55,6 +56,7 @@ from repro.core.universality import (
 __all__ = [
     "ORACLES",
     "AlwaysOracle",
+    "AuditedOracle",
     "CLEAN",
     "Corruption",
     "FDPProcess",

@@ -26,11 +26,16 @@ by experiment E11:
   *explicit* edges and the caller's own channel, i.e. it misses references
   to the caller that are still in flight inside other processes' channels.
   The experiment measures how often that blind spot would have mattered.
+* :class:`AuditedOracle` — wraps any of them and checks each true verdict
+  against a reference oracle (SINGLE in E11), counting the exits whose
+  safety the wrapped oracle does not guarantee.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
+
+from repro.errors import SafetyViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Engine
@@ -41,6 +46,7 @@ __all__ = [
     "NeverOracle",
     "TimeoutSingleOracle",
     "NoIncomingOracle",
+    "AuditedOracle",
     "ORACLES",
 ]
 
@@ -192,6 +198,57 @@ class NoIncomingOracle:
 
     def __repr__(self) -> str:
         return "NoIncomingOracle()"
+
+
+class AuditedOracle:
+    """An oracle whose true verdicts are checked against a reference.
+
+    Returns the wrapped *oracle*'s verdict unchanged. On every true
+    verdict it also evaluates *reference* for the same process on the
+    same state, and records the pid in :attr:`unsafe_exits` when the
+    reference is false; with ``strict=True`` it then raises
+    :class:`~repro.errors.SafetyViolation`.
+
+    On FDP this audits exactly the exits: Algorithm 1 follows a true
+    verdict (line 6) with ``exit`` (line 7) in the same action, and the
+    process graph does not change in between, so the reference sees the
+    pre-exit state and ``audited`` equals the run's exits. Used by the
+    oracle-ablation experiment (E11) to count the exits that ALWAYS or
+    a timeout approximation admit while SINGLE forbids them. The soa
+    core does not kernelize the wrapper: a run that uses it executes on
+    the object loop.
+    """
+
+    def __init__(
+        self,
+        oracle: Callable[[Engine, int], bool],
+        reference: Callable[[Engine, int], bool],
+        strict: bool = False,
+    ) -> None:
+        self.oracle = oracle
+        self.reference = reference
+        self.strict = strict
+        #: pids whose true verdict the reference contradicted, in order.
+        self.unsafe_exits: list[int] = []
+        #: number of true verdicts checked.
+        self.audited = 0
+
+    def __call__(self, engine: Engine, pid: int) -> bool:
+        verdict = self.oracle(engine, pid)
+        if verdict:
+            self.audited += 1
+            if not self.reference(engine, pid):
+                self.unsafe_exits.append(pid)
+                if self.strict:
+                    raise SafetyViolation(
+                        f"oracle {self.oracle!r} let process {pid} exit at "
+                        f"step {engine.step_count} while {self.reference!r} "
+                        "was false"
+                    )
+        return verdict
+
+    def __repr__(self) -> str:
+        return f"AuditedOracle({self.oracle!r}, reference={self.reference!r})"
 
 
 #: Registry for experiment sweeps.

@@ -232,7 +232,6 @@ def _build_engine(
     oracle: Callable | None = None,
     monitors: Sequence[Callable] = (),
     tracer: object | None = None,
-    provenance: object | None = None,
     strict: bool = True,
     engine_mode: str | None = None,
 ) -> Engine:
@@ -274,12 +273,11 @@ def _build_engine(
         strict=strict,
         monitors=monitors,
         tracer=tracer,
-        provenance=provenance,
         engine_mode=engine_mode,
     )
 
-    # The engine (and with it any provenance tracker) exists before the
-    # garbage is scattered, so planted messages get lineage roots too.
+    # The engine exists before the garbage is scattered: planting posts
+    # each message through it.
     if corruption.garbage_per_process > 0.0:
         for comp in comps:
             members = sorted(comp)
@@ -307,7 +305,6 @@ def build_fdp_engine(
     oracle: Callable | None = None,
     monitors: Sequence[Callable] = (),
     tracer: object | None = None,
-    provenance: object | None = None,
     strict: bool = True,
     engine_mode: str | None = None,
 ) -> Engine:
@@ -326,7 +323,6 @@ def build_fdp_engine(
         oracle=oracle if oracle is not None else SingleOracle(),
         monitors=monitors,
         tracer=tracer,
-        provenance=provenance,
         strict=strict,
         engine_mode=engine_mode,
     )
@@ -425,7 +421,6 @@ def build_fsp_engine(
     seed: int = 0,
     monitors: Sequence[Callable] = (),
     tracer: object | None = None,
-    provenance: object | None = None,
     strict: bool = True,
     engine_mode: str | None = None,
 ) -> Engine:
@@ -444,7 +439,6 @@ def build_fsp_engine(
         oracle=None,
         monitors=monitors,
         tracer=tracer,
-        provenance=provenance,
         strict=strict,
         engine_mode=engine_mode,
     )

@@ -1,15 +1,10 @@
-"""Causal telemetry: provenance, streaming traces, and the probe catalog.
+"""Telemetry: streaming traces and the probe catalog.
 
-The paper's proofs are statements about *executions* — which message
-caused which action, how the potential Φ drains, when the oracle fired.
+The paper's proofs are statements about *executions* — which steps
+ran, how the potential Φ drains, when the oracle fired.
 This package makes those quantities observable on real runs without
 giving up the O(Δ) per-step observation cost of the live graph:
 
-* :mod:`repro.obs.provenance` — per-message lineage (parent = the
-  message whose action posted it): happens-before chains, hop/age
-  statistics, and "which planted garbage message ultimately triggered
-  this exit" answers. Zero-cost when off — the engine pays one
-  predicted-false branch per post/delivery.
 * :mod:`repro.obs.trace` — a bounded-memory JSONL trace sink capturing
   the executed schedule, lifecycle transitions and oracle verdicts; the
   shipped file re-ingests through
@@ -20,8 +15,8 @@ giving up the O(Δ) per-step observation cost of the live graph:
   invalid information).
 
 Layering: ``repro.obs`` may import ``repro.sim``; the engine never
-imports ``repro.obs`` at runtime — it only holds the optional
-tracker/sink objects it is handed. The one exception is an observer:
+imports ``repro.obs`` at runtime — it only holds the optional sink
+object it is handed. The one exception is an observer:
 a default :class:`~repro.sim.tracing.SeriesRecorder` reads its probes
 from :data:`~repro.obs.metrics.REGISTRY` when it is built.
 """
@@ -35,7 +30,6 @@ from repro.obs.metrics import (
     phi_by_subject,
     sample_all,
 )
-from repro.obs.provenance import ExitRecord, Lineage, ProvenanceTracker
 from repro.obs.trace import (
     JsonlTraceSink,
     TraceData,
@@ -44,9 +38,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "ProvenanceTracker",
-    "Lineage",
-    "ExitRecord",
     "JsonlTraceSink",
     "TraceData",
     "read_trace",

@@ -12,7 +12,6 @@ from repro.sim.engine import Engine, EngineStats, ExecutedStep
 from repro.sim.messages import Message, RefInfo, iter_refinfos, iter_refs
 from repro.sim.monitors import (
     ConnectivityMonitor,
-    ExitGuardMonitor,
     PotentialMonitor,
     TransitionMonitor,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "Engine",
     "EngineStats",
     "ExecutedStep",
-    "ExitGuardMonitor",
     "KeyProvider",
     "Message",
     "Mode",

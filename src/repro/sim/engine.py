@@ -270,6 +270,8 @@ class Engine:
     oracle:
         Oracle predicate consulted via ``ctx.oracle()``; ``None`` means any
         consultation raises (protocols that never consult may omit it).
+        :class:`~repro.core.oracles.AuditedOracle` checks its true
+        verdicts against a reference oracle.
     seed:
         Seed of the default :class:`~repro.sim.scheduler.RandomScheduler`,
         used only when *scheduler* is ``None``.
@@ -293,13 +295,6 @@ class Engine:
         given, plus O(1) engine counters at the step counts that are
         multiples of its optional ``metrics_every`` attribute, where
         batches end. Batches run at most :data:`TRACE_BATCH_CAP` steps.
-    provenance:
-        Optional :class:`~repro.obs.provenance.ProvenanceTracker`. When
-        set, every posted message is assigned a lineage record whose
-        parent is the message being delivered when the post happened —
-        the happens-before chains the paper's proofs argue over. ``None``
-        (the default) keeps the hot path at one predicted-false branch
-        per post/delivery.
     require_staying_per_component:
         Validate the paper's Section 3/4 precondition that every weakly
         connected component initially contains a staying process.
@@ -328,7 +323,6 @@ class Engine:
         strict: bool = True,
         monitors: Sequence[Callable[["Engine", ExecutedStep], None]] = (),
         tracer: Any | None = None,
-        provenance: Any | None = None,
         require_staying_per_component: bool = True,
         engine_mode: str | None = None,
     ) -> None:
@@ -354,7 +348,6 @@ class Engine:
         self.strict = strict
         self.monitors = list(monitors)
         self.tracer = tracer
-        self.provenance = provenance
         self._require_staying = require_staying_per_component
 
         #: scheduler freshness stamps — deliberately SEPARATE from message
@@ -366,9 +359,6 @@ class Engine:
         #: current position and hand the counters back after a batch.
         self._clock = 0
         self._msg_seq = 0
-        #: Callables ``(engine, pid) -> None`` invoked at the instant a
-        #: process requests exit, while it is still part of the graph.
-        self.exit_auditors: list[Callable[["Engine", int], None]] = []
         self.stats = EngineStats()
         self.step_count = 0
         self._attached = False
@@ -700,11 +690,6 @@ class Engine:
         """The incrementally maintained graph view."""
         return self._ensure_live()
 
-    def audit_exit(self, pid: int) -> None:
-        """Invoke exit auditors for *pid* (pre-transition; see exit_auditors)."""
-        for auditor in self.exit_auditors:
-            auditor(self, pid)
-
     def actual_mode(self, pid: int) -> Mode:
         """The true (read-only) mode of process *pid*."""
         # The core export never writes a mode: request_leave sets both.
@@ -771,8 +756,6 @@ class Engine:
         self._msg_seq = seq + 1
         msg = Message(label, tuple(args), seq, sender)
         self._channels[tpid].add(msg)
-        if self.provenance is not None:
-            self.provenance.on_post(msg, tpid, self.step_count)
         stats = self.stats
         stats.messages_posted += 1
         if sender is not None:
@@ -872,8 +855,6 @@ class Engine:
         if new_state is PState.GONE:
             self.stats.exits += 1
             self._gone_count += 1
-            if self.provenance is not None:
-                self.provenance.on_exit(proc.pid, self.step_count)
             if self._attached:
                 self.scheduler.notify_gone(
                     proc.pid, list(self._channels[proc.pid].seqs())
@@ -1435,9 +1416,6 @@ class Engine:
             raise StateViolation(f"delivery selected for gone process {pid}")
         msg = self._channels[pid].remove(seq)
         self._stale = True
-        prov = self.provenance
-        if prov is not None:
-            prov.begin_deliver(msg, pid, self.step_count)
         if proc.state is PState.ASLEEP:
             # Processing a message wakes an asleep process (Figure 1).
             self._transition(proc, PState.AWAKE)
@@ -1459,8 +1437,6 @@ class Engine:
             self._post_action(pid, proc, before)
             if requested is not None:
                 self._transition(proc, requested)
-        if prov is not None:
-            prov.end_action()
         stats = self.stats
         stats.deliveries += 1
         by = stats.deliveries_by
@@ -1500,8 +1476,8 @@ class Engine:
         With a tracer, core batches also end where the ``tracer``
         parameter says; the predicate still runs only at its boundaries.
 
-        In ``engine_mode="soa"`` eligible runs (no monitors/provenance/
-        auditors, core-drivable scheduler) take core batches. After each
+        In ``engine_mode="soa"`` eligible runs (no monitors, a
+        core-drivable scheduler) take core batches. After each
         one only the counters are exported, then its steps go to the
         tracer, and the core
         answers graph queries through the query facade; the process
@@ -1587,22 +1563,14 @@ class Engine:
     def _soa_core(self) -> Any | None:
         """The core for a batched soa run, or ``None`` to fall back.
 
-        Observers (monitors, provenance, exit auditors) need the object
-        model per step, and a scheduler that reads engine state in
-        ``select`` is not core-drivable; either forces the object loop,
-        and ``core_status["reason"]`` then names the cause. A tracer does
-        not: the core logs its steps for it.
+        Monitors need the object model per step, and a scheduler that
+        reads engine state in ``select`` is not core-drivable; either
+        forces the object loop, and ``core_status["reason"]`` then names
+        the cause. A tracer does not: the core logs its steps for it.
         """
-        if self.monitors or self.provenance is not None or self.exit_auditors:
+        if self.monitors:
             if self._core is not None:
-                attached = (
-                    ("monitors", self.monitors),
-                    ("provenance", self.provenance is not None),
-                    ("exit auditors", self.exit_auditors),
-                )
-                self._core_reason = "observers attached: " + ", ".join(
-                    kind for kind, present in attached if present
-                )
+                self._core_reason = "observers attached: monitors"
             return None
         if self._core_stale:
             self._rebuild_core()

@@ -14,20 +14,16 @@ protocol transcription violated a proof obligation.
 * :class:`TransitionMonitor` — Figure 1 / E1: records every lifecycle
   transition actually taken so the experiment can check the observed set
   equals the drawn set.
-* :class:`ExitGuardMonitor` — the FDP contract that a protocol relying on
-  an oracle only lets a process exit when the oracle held for it.
 
 Monitors run once per executed step, so they are observation hot-path
 code: they must read the engine's O(1)/O(Δ) surfaces (``potential()``,
 ``gone_count``, ``edge_count``, ``members_weakly_connected``) and never
 materialize a snapshot or scan the process population — the observer
 spy in ``tests/sim/test_step_path_spy.py`` runs the Lemma 2 and Lemma 3
-monitors every step and fails on either. Richer
-causal instrumentation (message lineage, streaming trace export, the
-documented probe catalog) lives in :mod:`repro.obs`; an exit's causal
-trigger, for example, is answered by
-:meth:`repro.obs.provenance.ProvenanceTracker.exits_from_planted` rather
-than by a monitor.
+monitors every step and fails on either. Streaming trace export and
+the documented probe catalog live in :mod:`repro.obs`. Exit safety is a
+property of the oracle, not of a step: it is audited by wrapping the
+run's oracle in :class:`~repro.core.oracles.AuditedOracle`.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ __all__ = [
     "ConnectivityMonitor",
     "PotentialMonitor",
     "TransitionMonitor",
-    "ExitGuardMonitor",
 ]
 
 
@@ -149,34 +144,3 @@ class TransitionMonitor:
         if old is not new:
             self.observed.add((old, new))
         self._prev[pid] = new
-
-
-class ExitGuardMonitor:
-    """Records exits that happened while a reference oracle was false.
-
-    Registered via ``engine.exit_auditors`` (not ``monitors``): the engine
-    invokes it at the instant a process requests ``exit``, while the
-    process is still part of the graph, so the reference oracle sees the
-    pre-exit state. Used in the oracle-ablation experiment (E11) to show
-    the ALWAYS oracle admits exits that the exact ``SINGLE`` forbids —
-    i.e. the exits whose safety is not guaranteed.
-
-    With ``strict=True`` an unsafe exit raises immediately instead of
-    being recorded.
-    """
-
-    def __init__(self, reference_oracle, strict: bool = False) -> None:
-        self.reference_oracle = reference_oracle
-        self.strict = strict
-        self.unsafe_exits: list[int] = []
-        self.audited = 0
-
-    def __call__(self, engine: Engine, pid: int) -> None:
-        self.audited += 1
-        if not self.reference_oracle(engine, pid):
-            self.unsafe_exits.append(pid)
-            if self.strict:
-                raise SafetyViolation(
-                    f"process {pid} exited at step {engine.step_count} while "
-                    "the reference oracle was false"
-                )

@@ -144,9 +144,6 @@ class ActionContext:
             raise StateViolation(
                 "exit command unavailable in this run (FSP setting: only sleep exists)"
             )
-        # Exit auditors observe the pre-exit state (the process is still in
-        # the graph here), which is what safety judgements need.
-        self._engine.audit_exit(self._process.pid)
         self._requested_state = PState.GONE
 
     def sleep(self) -> None:

@@ -5,11 +5,16 @@ import pytest
 from repro.core.oracles import (
     ORACLES,
     AlwaysOracle,
+    AuditedOracle,
     NeverOracle,
     NoIncomingOracle,
     SingleOracle,
     TimeoutSingleOracle,
 )
+from repro.core.potential import fdp_legitimate
+from repro.core.scenarios import HEAVY_CORRUPTION, build_fdp_engine, choose_leaving
+from repro.errors import SafetyViolation
+from repro.graphs import generators as gen
 from repro.sim.engine import Engine
 from repro.sim.messages import RefInfo
 from repro.sim.process import Process
@@ -173,3 +178,89 @@ class TestNoIncomingOracle:
         eng = wire(3, explicit=[(0, 1), (0, 2)])
         assert NoIncomingOracle()(eng, 0)
         assert not SingleOracle()(eng, 0)
+
+
+class Exiter(Holder):
+    """Leaving process that exits as soon as the oracle says so."""
+
+    def __init__(self, pid, refs=()):
+        super().__init__(pid, Mode.LEAVING)
+        for ref in refs:
+            self.refs[ref] = Mode.STAYING
+
+    def timeout(self, ctx):
+        if ctx.oracle():
+            ctx.exit()
+
+
+class TestAuditedOracle:
+    def _run(self, procs, oracle):
+        eng = Engine(
+            procs,
+            OldestFirstScheduler(),
+            capability=Capability.EXIT,
+            oracle=oracle,
+            require_staying_per_component=False,
+        )
+        eng.run(10, until=lambda e: False)
+        return eng
+
+    def _unsafe(self, strict):
+        """ALWAYS lets 0 exit though it has two partners (SINGLE false)."""
+        b, c = Holder(1), Holder(2)
+        guard = AuditedOracle(AlwaysOracle(), SingleOracle(), strict=strict)
+        return [Exiter(0, [b.self_ref, c.self_ref]), b, c], guard
+
+    def test_records_unsafe_exit_under_always_oracle(self):
+        procs, guard = self._unsafe(strict=False)
+        eng = self._run(procs, guard)
+        assert guard.unsafe_exits == [0]
+        assert guard.audited == 1 == eng.stats.exits
+        # the verdict is the wrapped oracle's, unchanged
+        assert eng.processes[0].state is PState.GONE
+
+    def test_strict_mode_raises(self):
+        procs, guard = self._unsafe(strict=True)
+        with pytest.raises(SafetyViolation, match="AlwaysOracle"):
+            self._run(procs, guard)
+        assert guard.unsafe_exits == [0]
+
+    def test_safe_exit_not_flagged(self):
+        guard = AuditedOracle(SingleOracle(), SingleOracle(), strict=True)
+        self._run([Exiter(0)], guard)
+        assert guard.unsafe_exits == []
+        assert guard.audited == 1
+
+    def test_false_verdict_skips_reference(self):
+        def reference(engine, pid):
+            raise AssertionError("reference evaluated on a false verdict")
+
+        guard = AuditedOracle(NeverOracle(), reference, strict=True)
+        eng = self._run([Exiter(0)], guard)
+        assert guard.audited == 0 and eng.stats.oracle_queries > 0
+
+    @pytest.mark.parametrize(
+        "make_oracle",
+        [AlwaysOracle, lambda: TimeoutSingleOracle(grace=0)],
+        ids=["always", "timeout_single0"],
+    )
+    def test_audits_every_fdp_exit(self, make_oracle):
+        """Algorithm 1 exits in the action whose oracle verdict was true,
+        so the wrapper audits each exit of an FDP run exactly once."""
+        for seed in range(3):
+            n = 12
+            edges = gen.random_connected(n, 4, seed=seed ^ 0x11E)
+            leaving = choose_leaving(n, edges, fraction=0.4, seed=seed)
+            guard = AuditedOracle(make_oracle(), SingleOracle())
+            engine = build_fdp_engine(
+                n,
+                edges,
+                leaving,
+                seed=seed,
+                oracle=guard,
+                corruption=HEAVY_CORRUPTION,
+            )
+            assert engine.run(100_000, until=fdp_legitimate, check_every=64)
+            assert engine.stats.exits > 0
+            assert guard.audited == engine.stats.exits
+            assert len(guard.unsafe_exits) <= guard.audited

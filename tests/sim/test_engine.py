@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.oracles import AlwaysOracle, AuditedOracle
 from repro.errors import ConfigurationError, StateViolation, UnknownActionError
 from repro.graphs.snapshot import EdgeKind
 from repro.sim.engine import Engine
@@ -26,6 +27,10 @@ class Recorder(Process):
 
     def on_exit_now(self, ctx):
         ctx.exit()
+
+    def on_exit_if_oracle(self, ctx):
+        if ctx.oracle():
+            ctx.exit()
 
 
 def make(procs, **kw):
@@ -349,16 +354,18 @@ class TestMeasurements:
         for key in ("step", "processes", "gone", "edges", "potential", "stats"):
             assert key in desc
 
-    def test_exit_auditor_called_pre_transition(self):
+    def test_audit_reference_runs_pre_transition(self):
+        """An audited oracle's reference judges the pre-exit state: the
+        exiting process is still awake when it runs."""
         seen = []
 
-        def auditor(engine, pid):
+        def reference(engine, pid):
             seen.append((pid, engine.processes[pid].state))
+            return True
 
         r = Recorder(0, Mode.LEAVING)
-        eng = make([r])
-        eng.exit_auditors.append(auditor)
-        eng.post(None, eng.ref(0), "exit_now", ())
+        eng = make([r], oracle=AuditedOracle(AlwaysOracle(), reference))
+        eng.post(None, eng.ref(0), "exit_if_oracle", ())
         eng.attach()
         for _ in range(10):
             if r.state is PState.GONE:

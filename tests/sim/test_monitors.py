@@ -3,13 +3,11 @@ correct protocols and they trip on deliberately broken ones."""
 
 import pytest
 
-from repro.core.oracles import AlwaysOracle, SingleOracle
 from repro.errors import ConfigurationError, SafetyViolation
 from repro.sim.engine import Engine
 from repro.sim.messages import RefInfo
 from repro.sim.monitors import (
     ConnectivityMonitor,
-    ExitGuardMonitor,
     PotentialMonitor,
     TransitionMonitor,
 )
@@ -58,12 +56,11 @@ class Noop(Process):
         pass
 
 
-def make(procs, monitors=(), oracle=None, capability=Capability.BOTH):
+def make(procs, monitors=()):
     return Engine(
         procs,
         OldestFirstScheduler(),
-        capability=capability,
-        oracle=oracle,
+        capability=Capability.BOTH,
         monitors=monitors,
         require_staying_per_component=False,
     )
@@ -151,53 +148,3 @@ class TestTransitionMonitor:
         eng = make([Exiter(0, Mode.LEAVING)], monitors=[mon])
         eng.run(5, until=lambda e: False)
         assert (PState.AWAKE, PState.GONE) in mon.observed
-
-
-class TestExitGuardMonitor:
-    def _unsafe_engine(self, strict):
-        """Leaving process exits immediately though two partners exist."""
-
-        class EagerExiter(Process):
-            def __init__(self, pid, refs):
-                super().__init__(pid, Mode.LEAVING)
-                self.refs = refs
-
-            def stored_refs(self):
-                return (RefInfo(r, Mode.STAYING) for r in self.refs)
-
-            def timeout(self, ctx):
-                if ctx.oracle():
-                    ctx.exit()
-
-        b, c = Noop(1, Mode.STAYING), Noop(2, Mode.STAYING)
-        b.extra = None
-        a = EagerExiter(0, [b.self_ref, c.self_ref])
-        guard = ExitGuardMonitor(SingleOracle(), strict=strict)
-        eng = make([a, b, c], oracle=AlwaysOracle(), capability=Capability.EXIT)
-        eng.exit_auditors.append(guard)
-        return eng, guard
-
-    def test_records_unsafe_exit_under_always_oracle(self):
-        eng, guard = self._unsafe_engine(strict=False)
-        eng.run(10, until=lambda e: False)
-        assert guard.unsafe_exits == [0]
-        assert guard.audited == 1
-
-    def test_strict_mode_raises(self):
-        eng, guard = self._unsafe_engine(strict=True)
-        with pytest.raises(SafetyViolation):
-            eng.run(10, until=lambda e: False)
-
-    def test_safe_exit_not_flagged(self):
-        class SafeExiter(Process):
-            def timeout(self, ctx):
-                if ctx.oracle():
-                    ctx.exit()
-
-        a = SafeExiter(0, Mode.LEAVING)
-        guard = ExitGuardMonitor(SingleOracle(), strict=True)
-        eng = make([a], oracle=SingleOracle(), capability=Capability.EXIT)
-        eng.exit_auditors.append(guard)
-        eng.run(10, until=lambda e: False)
-        assert guard.unsafe_exits == []
-        assert guard.audited == 1

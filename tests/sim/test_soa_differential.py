@@ -36,6 +36,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.capsule import capture_capsule, replay_capsule
+from repro.core.oracles import AlwaysOracle, AuditedOracle, SingleOracle
+from repro.core.potential import fdp_legitimate
 from repro.core.scenarios import (
     HEAVY_CORRUPTION,
     SCHEDULER_FACTORIES,
@@ -322,10 +324,36 @@ def test_observer_fallback_reason_is_recorded():
     engine.run(50)
     status = engine.core_status
     assert status["active"], status
-    assert status["reason"] is not None and "monitors" in status["reason"]
+    assert status["reason"] == "observers attached: monitors"
     engine.monitors.clear()
     engine.run(50)
     assert engine.core_status["reason"] is None
+
+
+def test_audited_oracle_reason_names_the_unkernelized_oracle(monkeypatch):
+    """An exit audit wraps the oracle, which the core does not kernelize:
+    a soa run falls back to the object loop and says which oracle."""
+    batches = _spy_run_batch(monkeypatch)
+    n = 12
+    edges = gen.random_connected(n, 4, seed=0x11E)
+    guard = AuditedOracle(AlwaysOracle(), SingleOracle())
+    engine = build_fdp_engine(
+        n,
+        edges,
+        choose_leaving(n, edges, fraction=0.4, seed=0),
+        corruption=HEAVY_CORRUPTION,
+        oracle=guard,
+        engine_mode="soa",
+    )
+    engine.run(20_000, until=fdp_legitimate, check_every=64)
+    status = engine.core_status
+    assert not status["active"]
+    assert status["reason"] == (
+        "unkernelized oracle "
+        "AuditedOracle(AlwaysOracle(), reference=SingleOracle())"
+    )
+    assert not batches
+    assert guard.audited == engine.stats.exits > 0
 
 
 def test_non_drivable_scheduler_reason_is_recorded(monkeypatch):
