@@ -31,6 +31,15 @@ monitor that has one (:class:`~repro.sim.monitors.PotentialMonitor`,
 all :mod:`~repro.chaos.watchdogs`) — Lemma 3 and the stall windows
 restart from the post-injection level instead of reporting phantoms.
 
+All three state faults go through the engine facade — ``Engine.post``
+with ``sender=None`` for the planters, ``Engine.beliefs_of`` and
+``Engine.rewrite_beliefs`` for the scramble — and the pools and the
+admissibility check read ``component_labels``, ``state_of`` and
+``actual_mode``. On a ``soa`` run those are core operations, and
+:meth:`ChaosCampaign.next_wakeup` names the next injection step, so a
+supervised run keeps its core batches without an export or a core
+rebuild.
+
 Determinism contract: an injection is a pure function of (step index,
 campaign RNG state, engine state), so a campaign rebuilt from
 :meth:`ChaosCampaign.config` and attached to an identically rebuilt
@@ -166,11 +175,18 @@ class ChaosCampaign:
 
     # -- monitor surface --------------------------------------------------------
 
-    def __call__(self, engine: Engine, executed: ExecutedStep) -> None:
+    def __call__(self, engine: Engine, executed: ExecutedStep | None) -> None:
         if self.exhausted or engine.step_count < self._next_due:
             return
         self._inject(engine)
         self._next_due = engine.step_count + self._gap()
+
+    def next_wakeup(self, step: int) -> int | None:
+        """The step count of the next injection after *step*; ``None``
+        once exhausted."""
+        if self.exhausted:
+            return None
+        return max(step + 1, self._next_due)
 
     # -- injection --------------------------------------------------------------
 
@@ -179,28 +195,21 @@ class ChaosCampaign:
         deterministic order; empty components are dropped.
 
         Open-system runs shrink and grow the population mid-run: reaped
-        pids vanish from ``engine.processes`` (``.get`` treats them as
-        gone), and mid-run admissions — which belong to no *initial*
-        component — form one extra pool so a campaign stays live even
-        after the seed population has fully turned over.
+        and gone pids carry no component label, and mid-run admissions —
+        which belong to no *initial* component — form one extra pool so
+        a campaign stays live even after the seed population has fully
+        turned over. One :meth:`~repro.sim.engine.Engine.component_labels`
+        answer (the core's, on a soa run) names the alive pids.
         """
-        procs = engine.processes
+        alive = engine.component_labels()
         initial: set[int] = set()
         pools = []
         for comp in engine.initial_components:
             initial.update(comp)
-            alive = [
-                pid
-                for pid in sorted(comp)
-                if (p := procs.get(pid)) is not None and p.state is not PState.GONE
-            ]
-            if alive:
-                pools.append(alive)
-        admitted = [
-            pid
-            for pid in sorted(procs)
-            if pid not in initial and procs[pid].state is not PState.GONE
-        ]
+            members = [pid for pid in sorted(comp) if pid in alive]
+            if members:
+                pools.append(members)
+        admitted = sorted(pid for pid in alive if pid not in initial)
         if admitted:
             pools.append(admitted)
         return pools
@@ -298,15 +307,14 @@ class ChaosCampaign:
         at least one alive staying process.
         """
         self.admissibility_checks += 1
-        procs = engine.processes
         for comp in engine.initial_components:
             alive = [
                 pid
                 for pid in comp
-                if (p := procs.get(pid)) is not None and p.state is not PState.GONE
+                if engine.state_of(pid) not in (None, PState.GONE)
             ]
             if alive and not any(
-                procs[pid].mode is Mode.STAYING for pid in alive
+                engine.actual_mode(pid) is Mode.STAYING for pid in alive
             ):
                 raise SafetyViolation(
                     f"chaos injection at step {engine.step_count} left "

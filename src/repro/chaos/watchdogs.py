@@ -23,7 +23,10 @@ and trip with a structured :class:`StallDiagnosis`:
   step budget is reached).
 
 Hot-path discipline: every per-step check reads only O(1) counters
-(``potential()``/``pending_count``/``edge_count``/lifecycle counts).
+(``potential()``/``pending_count``/``edge_count``/lifecycle counts), and
+a watchdog acts only every ``check_every`` steps, which
+:meth:`Watchdog.next_wakeup` declares: a ``soa`` run keeps its core
+batches and calls the watchdogs at those step counts.
 The O(n) channel attribution (:func:`repro.obs.metrics.top_backlog`)
 runs only when building a trip diagnosis — i.e. once, on the way out.
 
@@ -137,7 +140,7 @@ class Watchdog:
         self.tripped: StallDiagnosis | None = None
         self.checks = 0
 
-    def __call__(self, engine: Engine, executed: ExecutedStep) -> None:
+    def __call__(self, engine: Engine, executed: ExecutedStep | None) -> None:
         if engine.step_count % self.check_every != 0:
             return
         if self.tripped is not None:
@@ -153,6 +156,13 @@ class Watchdog:
         self.rebase(engine)
         if self.raise_on_trip:
             raise WatchdogTrip(self.tripped.summary(), self.tripped)
+
+    def next_wakeup(self, step: int) -> int | None:
+        """The next multiple of ``check_every`` after *step*; ``None``
+        once latched, since every later call is a no-op."""
+        if self.tripped is not None:
+            return None
+        return (step // self.check_every + 1) * self.check_every
 
     # -- subclass surface -------------------------------------------------------
 
@@ -366,8 +376,9 @@ class NoProgressWatchdog(Watchdog):
             stats.exits + stats.sleeps + stats.wakes,
             # Open-system runs change the population between steps; an
             # admission or a reap is progress even when every counter
-            # above happens to return to its old value.
-            len(engine.processes),
+            # above happens to return to its old value. (The population
+            # size, from O(1) counters: no deferred export.)
+            engine.alive_count + engine.gone_count,
             engine.admitted_count + engine.reaped_count,
             # A send dropped at a gone process is observable flow (the
             # livelock watchdog's axis) — a frozen fingerprint must mean

@@ -478,6 +478,15 @@ def cmd_chaos_run(args) -> int:
     return 1 if result.outcome == "budget" else 2
 
 
+def _core_cell(engine) -> str:
+    """``core`` when a soa run drove core batches, else why it did not
+    (the ``core_status`` reason, or the engine mode)."""
+    status = engine.core_status
+    if status["engine_mode"] == "soa" and status["active"] and status["reason"] is None:
+        return "core"
+    return status["reason"] or status["engine_mode"]
+
+
 def cmd_chaos_soak(args) -> int:
     """Seeded campaign battery: every scenario under every scheduler.
 
@@ -608,6 +617,7 @@ def cmd_chaos_soak(args) -> int:
                         outcome,
                         result.engine.step_count,
                         len(campaign.injections),
+                        _core_cell(result.engine),
                     ]
                 )
     print(
@@ -620,6 +630,7 @@ def cmd_chaos_soak(args) -> int:
                 "outcome",
                 "steps",
                 "injections",
+                "core",
             ],
             rows,
             title=f"chaos soak (n={args.n}, seed={args.seed}, "

@@ -135,6 +135,13 @@ class FDPProcess(Process):
         if self.anchor is not None:
             yield RefInfo(self.anchor, self.anchor_belief)
 
+    def stored_pids(self) -> list[int]:
+        pids = [ref._pid for ref in self.N._d]  # noqa: SLF001
+        anchor = self._anchor_cell._ref  # noqa: SLF001
+        if anchor is not None:
+            pids.append(anchor._pid)  # noqa: SLF001
+        return pids
+
     def describe_vars(self) -> dict:
         return {
             "N": {repr(r): b.value for r, b in self.N.items()},

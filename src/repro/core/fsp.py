@@ -90,6 +90,11 @@ class FSPProcess(FDPProcess):
         for ref, belief in self.parked.items():
             yield RefInfo(ref, belief)
 
+    def stored_pids(self) -> list[int]:
+        pids = super().stored_pids()
+        pids += [ref._pid for ref in self.parked._d]  # noqa: SLF001
+        return pids
+
     def describe_vars(self) -> dict:
         out = super().describe_vars()
         out["parked"] = {repr(r): b.value for r, b in self.parked.items()}

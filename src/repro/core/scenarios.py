@@ -24,7 +24,6 @@ from repro.core.oracles import ORACLES, SingleOracle
 from repro.errors import ConfigurationError
 from repro.sim.engine import Engine
 from repro.sim.faults import random_mode_claim, scatter_garbage_messages
-from repro.sim.refs import pid_of
 from repro.sim.scheduler import (
     AdversarialScheduler,
     OldestFirstScheduler,
@@ -467,8 +466,11 @@ def scramble_beliefs(
     connectivity). Processes without belief surfaces (plain overlay
     logics) are skipped.
 
-    Signals ``engine._dirty = True`` when anything changed so the live
-    graph rebuilds. Callers running a
+    Reads and writes go through the engine facade
+    (:meth:`~repro.sim.engine.Engine.beliefs_of`,
+    :meth:`~repro.sim.engine.Engine.rewrite_beliefs`), so on a soa run
+    the core's ``N`` and anchor columns serve them and no export
+    happens. Callers running a
     :class:`~repro.sim.monitors.PotentialMonitor` must ``rebase()`` it
     afterwards. Returns the number of beliefs flipped.
     """
@@ -478,31 +480,24 @@ def scramble_beliefs(
     pool = sorted(pids) if pids is not None else sorted(engine.processes)
     flipped = 0
     for pid in pool:
-        proc = engine.processes[pid]
-        if proc.state is PState.GONE:
+        state = engine.state_of(pid)
+        if state is None:
+            raise ConfigurationError(f"no process with pid {pid}")
+        if state is PState.GONE:
             continue
-        for table_name in ("N", "beliefs"):
-            table = getattr(proc, table_name, None)
-            if table is None or not hasattr(table, "items"):
+        changes = []
+        for store, target, belief in engine.beliefs_of(pid):
+            # A table entry without a mode belief is skipped without a
+            # draw; an anchor always draws.
+            if store != "anchor" and not isinstance(belief, Mode):
                 continue
-            for ref, belief in list(table.items()):
-                if not isinstance(belief, Mode):
-                    continue
-                if rng.random() < lie_prob:
-                    wrong = engine.actual_mode(pid_of(ref)).opposite
-                    if belief is not wrong:
-                        table[ref] = wrong
-                        flipped += 1
-        anchor = getattr(proc, "anchor", None)
-        if anchor is not None and rng.random() < lie_prob:
-            wrong = engine.actual_mode(pid_of(anchor)).opposite
-            if getattr(proc, "anchor_belief", None) is not wrong:
-                proc.anchor_belief = wrong
-                flipped += 1
-    if flipped:
-        # Out-of-band writes bypassed the delta plumbing; schedule a full
-        # live-graph rebuild and lifecycle recount.
-        engine._dirty = True  # noqa: SLF001 - sanctioned out-of-band hook
+            if rng.random() < lie_prob:
+                wrong = engine.actual_mode(target).opposite
+                if belief is not wrong:
+                    changes.append((store, target, wrong))
+        if changes:
+            engine.rewrite_beliefs(pid, changes)
+            flipped += len(changes)
     return flipped
 
 

@@ -57,14 +57,18 @@ The read methods above form one query facade (:meth:`Engine._checked`):
 ``potential()``, ``edge_count``, ``pending_count``, ``describe()``,
 ``progress_diagnostics()``, ``partners()``/``partner_pids()``,
 ``hops()``, ``same_component()``, ``component_labels()``, ``state_of()``,
-``lifecycle_clauses()`` and ``staying_pids()``. While the soa core holds
+``lifecycle_clauses()``, ``staying_pids()``, ``relevant_pids()`` (with
+no sleepers) and ``beliefs_of()``. While the soa core holds
 the current state it answers them in the int domain; otherwise the live
 graph (or the object model) does. Verify mode answers from the live graph and cross-checks
 the core's answer. In soa mode the ``processes``/``channels`` properties
 complete any export the core deferred (at a predicate boundary or at the
 end of a run), so object readers stay exact; the open-system operations
 (``admit``, ``request_leave``, ``can_reap``, ``reap``, ``reap_gone``)
-never need it.
+never need it, nor do the out-of-band fault operations a chaos
+campaign uses (``post`` with ``sender=None`` and one ``RefInfo``,
+``rewrite_beliefs``): while the core is current they write the core,
+and verify mode writes both sides and cross-checks them.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ from repro.errors import (
     StateViolation,
     UnknownActionError,
 )
-from repro.graphs.connectivity import UnionFind, first_member_labels, hop_distance
+from repro.graphs.connectivity import first_member_labels, hop_distance
 from repro.graphs.livegraph import LiveGraph, explicit_fingerprint
 from repro.graphs.snapshot import Edge, EdgeKind, NodeView, ProcessGraph
 from repro.sim.channel import Channel
@@ -279,9 +283,16 @@ class Engine:
         If True, messages with unknown labels raise
         :class:`~repro.errors.UnknownActionError` instead of being ignored.
     monitors:
-        Callables ``(engine, executed_step) -> None`` run after every step;
-        they raise :class:`~repro.errors.SafetyViolation` on invariant
-        breaks.
+        Callables ``(engine, executed_step) -> None`` run after every step,
+        in order; they raise :class:`~repro.errors.SafetyViolation` on
+        invariant breaks. A monitor may declare ``next_wakeup(step)``,
+        the next step count after *step* at which its call is not a
+        no-op (``None``: never again). When every monitor does, a
+        ``soa`` run stays on the core: :meth:`run` ends each core batch
+        at the earliest wakeup and calls every monitor there with
+        ``executed_step=None``, so such a monitor reads only O(1) or
+        core-served engine state (docs/OBSERVABILITY.md "Monitors on the
+        core"). Any other monitor keeps the run on the object loop.
     tracer:
         Optional object whose ``record(engine, executed_step)`` is called
         once per step, in step order, e.g. a
@@ -302,7 +313,8 @@ class Engine:
         Which execution core runs the step loop. ``"objects"`` (default)
         is the object-per-process loop. ``"soa"`` executes eligible runs
         (homogeneous FDP/FSP populations under a core-drivable
-        scheduler, no monitors) on the struct-of-arrays
+        scheduler, monitors that declare ``next_wakeup``) on the
+        struct-of-arrays
         :class:`~repro.sim.soa.EngineCore` and falls back to the object
         loop otherwise. ``"verify"`` executes every step on both cores
         and cross-checks them — the differential oracle. It also diffs
@@ -695,6 +707,71 @@ class Engine:
         # The core export never writes a mode: request_leave sets both.
         return self._processes[pid].mode
 
+    def beliefs_of(self, pid: int) -> list[tuple[str, int, Any]]:
+        """The mode beliefs process *pid* stores, as ``(store, target
+        pid, belief)``: each entry of its ``N`` table, then of a
+        ``beliefs`` table, in store order, then its anchor if one is set.
+
+        The core's ``N`` and anchor columns answer while the core holds
+        the current state, else the process object (see :meth:`_checked`).
+        """
+        core = self._query_core()
+        if core is None:
+            return self._object_beliefs(pid)
+        found = core.beliefs_of(core.slot_of[pid])
+        if self._engine_mode == "soa":
+            return found
+        return self._checked("beliefs_of", found, self._object_beliefs(pid))
+
+    def _object_beliefs(self, pid: int) -> list[tuple[str, int, Any]]:
+        proc = self.processes[pid]
+        found = []
+        for store in ("N", "beliefs"):
+            table = getattr(proc, store, None)
+            if table is not None and hasattr(table, "items"):
+                found += [(store, pid_of(ref), belief) for ref, belief in table.items()]
+        anchor = getattr(proc, "anchor", None)
+        if anchor is not None:
+            found.append(("anchor", pid_of(anchor), getattr(proc, "anchor_belief", None)))
+        return found
+
+    def rewrite_beliefs(self, pid: int, changes: Sequence[tuple[str, int, Mode]]) -> None:
+        """Overwrite stored beliefs of process *pid*, out of band: each
+        ``(store, target pid, belief)`` names an entry :meth:`beliefs_of`
+        lists. A belief fault keeps every reference, so only Φ moves.
+
+        While the core holds the current state it is a core operation:
+        with the object export deferred only the core is written,
+        otherwise the objects are too and verify mode cross-checks the
+        two. Else the objects are written and the core marked stale.
+        """
+        core = self._query_core()
+        if core is not None:
+            u = core.slot_of[pid]
+            for store, target, belief in changes:
+                core.rewrite_belief(u, store, target, belief)
+            if self._export_pending:
+                # No counter moved: the objects are just further behind.
+                self._stale = True
+                return
+        self._complete_export()
+        proc = self._processes[pid]
+        live = self._live if not self._live_stale else None
+        before = explicit_fingerprint(proc) if live is not None else None
+        for store, target, belief in changes:
+            if store == "anchor":
+                proc.anchor_belief = belief
+            else:
+                getattr(proc, store)[self._processes[target].self_ref] = belief
+        if live is not None:
+            live.apply_explicit_diff(pid, before, proc)
+        self._stale = True
+        if core is not None:
+            if self._engine_mode == "verify":
+                core.cross_check(self, f"belief rewrite at pid {pid}")
+        elif self._core is not None:
+            self._core_stale = True
+
     def ref(self, pid: int) -> Ref:
         """Reference for process *pid* (raises if unknown — no dead refs)."""
         if pid not in self._processes:
@@ -731,12 +808,12 @@ class Engine:
         ``None``. Out-of-band posts (``sender=None`` — fault injection,
         tests planting messages) keep the historical park-in-channel
         semantics, so planted initial states are expressible unchanged.
+        An out-of-band post of one :class:`RefInfo` to a non-gone
+        process, while the struct-of-arrays core holds the current state,
+        is a core operation (:meth:`_post_on_core`): it needs no export
+        and leaves the core current.
         """
 
-        if self._export_pending:
-            # An out-of-band post from a soa predicate: the target
-            # channel must be current before it grows.
-            self._complete_export()
         processes = self._processes
         tpid = pid_of(target)
         if tpid not in processes:
@@ -750,6 +827,16 @@ class Engine:
                     raise ConfigurationError(
                         f"message parameter references unknown process {pid_of(ref)}"
                     )
+        if sender is None and len(args) == 1 and type(args[0]) is RefInfo:
+            core = self._query_core()
+            if core is not None and core.state_of(core.slot_of[tpid]) is not PState.GONE:
+                msg = self._post_on_core(core, tpid, label, args[0])
+                if msg is not None:
+                    return msg
+        if self._export_pending:
+            # An out-of-band post from a soa predicate: the target
+            # channel must be current before it grows.
+            self._complete_export()
         if sender is not None and processes[tpid].state is PState.GONE:
             return self._bounce(sender, tpid, args)
         seq = self._msg_seq
@@ -783,6 +870,43 @@ class Engine:
                 self.net.on_post(sender, tpid, msg)
             else:
                 self.scheduler.notify_send(tpid, msg.seq)
+        return msg
+
+    def _post_on_core(self, core: Any, tpid: int, label: str, info: RefInfo) -> Message | None:
+        """:meth:`post` of ``label(info)`` from outside the protocol to
+        non-gone *tpid*, as a core operation: the core's channel takes
+        the message with the seq, tallies and Φ/edge deltas the object
+        path gives it. While a soa run has the object export deferred,
+        only the core is written; otherwise the objects take it too, and
+        verify mode cross-checks the two. ``None`` when the core cannot
+        encode it (a full label table): the caller takes the object path.
+        """
+        from repro.sim.soa import CoreUnsupported
+
+        msg = Message(label, (info,), self._msg_seq, None)
+        try:
+            core.post(core.slot_of[tpid], msg)
+        except CoreUnsupported:
+            return None
+        if self._export_pending:
+            self._defer_export(core)
+        else:
+            self._msg_seq = msg.seq + 1
+            # The core took this post too: keep the channel observer from
+            # marking it stale.
+            self._stepping = True
+            try:
+                self._channels[tpid].add(msg)
+            finally:
+                self._stepping = False
+            stats = self.stats
+            stats.messages_posted += 1
+            stats.received_by[tpid] = stats.received_by.get(tpid, 0) + 1
+            self._stale = True
+            if self._engine_mode == "verify":
+                core.cross_check(self, f"out-of-band post {msg!r}")
+        if self._attached:
+            self.scheduler.notify_send(tpid, msg.seq)
         return msg
 
     def _bounce(self, sender: int, tpid: int, args: tuple[Any, ...]) -> None:
@@ -1204,14 +1328,22 @@ class Engine:
         if not self._attached:
             self.attach()
         if self._engine_mode == "verify":
-            return self._step_verified()
-        if self._core is not None:
-            # soa mode stepped one-at-a-time runs on the object loop;
-            # the core re-syncs from the object state at the next run().
-            if self._export_pending:
-                self._complete_export()
-            self._core_stale = True
-        return self._step_objects()
+            executed = self._step_verified()
+        else:
+            if self._core is not None:
+                # soa mode stepped one-at-a-time runs on the object loop;
+                # the core re-syncs from the object state at the next run().
+                if self._export_pending:
+                    self._complete_export()
+                self._core_stale = True
+            executed = self._step_objects()
+        if executed is not None:
+            # After verify mode's mirror, so that the core holds the
+            # current state and a monitor's fault injection is a core
+            # operation there as on a soa run.
+            for monitor in self.monitors:
+                monitor(self, executed)
+        return executed
 
     def _step_verified(self) -> ExecutedStep | None:
         """One object-loop step, mirrored and cross-checked on the core.
@@ -1238,10 +1370,9 @@ class Engine:
         finally:
             self._stepping = False
         if executed is not None and not self._core_stale:
-            # A monitor that mutated state out-of-band (a chaos campaign
-            # injecting faults) marked the core stale mid-step; the
-            # mutation is not an event the mirror can replay, so skip the
-            # cross-check here — the next step's entry rebuild resyncs.
+            # A tracer that mutated state out of band marked the core
+            # stale; that is not an event the mirror can replay, so skip
+            # the cross-check here — the next step's entry rebuild resyncs.
             core.mirror_step(self, executed)
         return executed
 
@@ -1295,17 +1426,6 @@ class Engine:
                 self._last_progress_step = self.step_count
         if self.tracer is not None:
             self.tracer.record(self, executed)
-        monitors = self.monitors
-        if monitors:
-            # Anything a monitor mutates (a chaos campaign injecting
-            # faults) is out-of-band even though it runs inside the step:
-            # the mirror-core staleness checks in post() and
-            # _observe_channel key off _stepping, so it must be False
-            # here or verify mode would cross-check against a mirror
-            # that never saw the injection.
-            self._stepping = False
-            for monitor in monitors:
-                monitor(self, executed)
         return executed
 
     # -- per-action ref-delta plumbing ------------------------------------
@@ -1476,10 +1596,12 @@ class Engine:
         With a tracer, core batches also end where the ``tracer``
         parameter says; the predicate still runs only at its boundaries.
 
-        In ``engine_mode="soa"`` eligible runs (no monitors, a
-        core-drivable scheduler) take core batches. After each
+        In ``engine_mode="soa"`` eligible runs (monitors that declare
+        ``next_wakeup``, a core-drivable scheduler) take core batches,
+        which also end at the monitors' earliest wakeup. After each
         one only the counters are exported, then its steps go to the
-        tracer, and the core
+        tracer, then the monitors run if the batch reached their
+        wakeup, and the core
         answers graph queries through the query facade; the process
         stores and channels are exported when something first reads
         :attr:`processes` or :attr:`channels`. The run returns with that
@@ -1499,6 +1621,7 @@ class Engine:
         driven = self._soa_core() if self._engine_mode == "soa" else None
         core = driven
         tracer = self.tracer if driven is not None else None
+        monitors = self.monitors if driven is not None else ()
         if driven is not None:
             driven.drive(self.scheduler, log_steps=tracer is not None)
         try:
@@ -1531,10 +1654,16 @@ class Engine:
                 if core is not None:
                     if tracer is not None:
                         batch = self._trace_batch(tracer, batch)
+                    wake = self._next_wakeup(monitors) if monitors else None
+                    if wake is not None:
+                        batch = min(batch, wake - self.step_count)
                     executed = core.run_batch(batch)
                     self._defer_export(core)
                     if tracer is not None:
                         self._hand_over_steps(tracer, core)
+                    if self.step_count == wake:
+                        for monitor in monitors:
+                            monitor(self, None)
                 else:
                     executed = 0
                     while executed < batch and self.step() is not None:
@@ -1563,12 +1692,14 @@ class Engine:
     def _soa_core(self) -> Any | None:
         """The core for a batched soa run, or ``None`` to fall back.
 
-        Monitors need the object model per step, and a scheduler that
-        reads engine state in ``select`` is not core-drivable; either
-        forces the object loop, and ``core_status["reason"]`` then names
-        the cause. A tracer does not: the core logs its steps for it.
+        A monitor without ``next_wakeup`` needs the object model at every
+        step, and a scheduler that reads engine state in ``select`` is not
+        core-drivable; either forces the object loop, and
+        ``core_status["reason"]`` then names the cause. A tracer does
+        not: the core logs its steps for it. Nor does a monitor that
+        declares ``next_wakeup``: core batches end at its wakeups.
         """
-        if self.monitors:
+        if not all(callable(getattr(m, "next_wakeup", None)) for m in self.monitors):
             if self._core is not None:
                 self._core_reason = "observers attached: monitors"
             return None
@@ -1594,6 +1725,19 @@ class Engine:
         if every:
             batch = min(batch, every - self.step_count % every)
         return min(batch, TRACE_BATCH_CAP)
+
+    def _next_wakeup(self, monitors: Sequence[Any]) -> int | None:
+        """The earliest step count after the current one at which a
+        monitor's call may act (its ``next_wakeup``), or ``None`` when
+        none ever will. A core batch ends there and calls every monitor,
+        as the object loop would after that step."""
+        now = self.step_count
+        wake = None
+        for monitor in monitors:
+            at = monitor.next_wakeup(now)
+            if at is not None and (wake is None or at < wake):
+                wake = at
+        return None if wake is None else max(wake, now + 1)
 
     def _hand_over_steps(self, tracer: Any, core: Any) -> None:
         """Give the tracer the steps of the core batch that just ended,
@@ -1753,7 +1897,7 @@ class Engine:
         if core is None:
             return self._ensure_live().same_component(pids)
         members = list(pids)
-        slots = [core.slot_of.get(pid) for pid in members]
+        slots = list(map(core.slot_of.get, members))
         connected = None not in slots and core.same_component(slots)
         if self._engine_mode == "soa":
             return connected
@@ -1799,22 +1943,41 @@ class Engine:
         self._checked("component labelling", core.partition(), core.partition(fresh=True))
 
     def _scan_component_labels(self) -> dict[int, int]:
-        """:meth:`component_labels` by one union-find pass over the
-        stores and channels of the non-gone processes (edges into gone
-        processes do not connect)."""
+        """:meth:`component_labels` by one list-based union-find pass
+        over the stores (:meth:`~repro.sim.process.Process.stored_pids`)
+        and channels of the non-gone processes (edges into gone processes
+        do not connect), with path halving."""
         processes, channels = self.processes, self.channels
         alive = [pid for pid, proc in processes.items() if proc.state is not PState.GONE]
-        uf = UnionFind(alive)
-        for pid in alive:
-            for info in processes[pid].stored_refs():
-                dst = pid_of(info.ref)
-                if dst in uf:
-                    uf.union(pid, dst)
+        index = {pid: i for i, pid in enumerate(alive)}.get
+        parent = list(range(len(alive)))
+        for i, pid in enumerate(alive):
+            root = i
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            dsts = processes[pid].stored_pids()
             for msg in channels[pid]:
-                for dst, _belief in msg.edge_pairs():
-                    if dst in uf:
-                        uf.union(pid, dst)
-        return first_member_labels(alive, uf.find)
+                args = msg.args
+                if len(args) == 1 and type(args[0]) is RefInfo:
+                    dsts.append(args[0].ref._pid)  # noqa: SLF001
+                elif args:
+                    dsts += [dst for dst, _belief in msg.edge_pairs()]
+            for dst in dsts:
+                j = index(dst)
+                if j is None:
+                    continue
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if j != root:
+                    parent[j] = root
+
+        def find(pid: int) -> int:
+            i = index(pid)
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        return first_member_labels(alive, find)
 
     def lifecycle_clauses(self) -> tuple[bool, bool]:
         """Legitimacy conditions (i) and (ii) in their FDP reading:
@@ -1883,8 +2046,20 @@ class Engine:
         return self._checked("potential", core.phi, self._ensure_live().phi)
 
     def relevant_pids(self) -> frozenset[int]:
-        """Pids of relevant (non-gone, non-hibernating) processes."""
-        return self._ensure_live().relevant()
+        """Pids of relevant (non-gone, non-hibernating) processes.
+
+        Only sleepers hibernate, so while none is asleep (an O(1) counter
+        test; every FDP run) the core's lifecycle column answers: the
+        non-gone pids. Hibernation is a live-graph query (see
+        :meth:`_checked`).
+        """
+        core = self._query_core()
+        if core is None or self.asleep_count:
+            return self._ensure_live().relevant()
+        found = core.alive_pids()
+        if self._engine_mode == "soa":
+            return found
+        return self._checked("relevant_pids", found, self._ensure_live().relevant())
 
     def members_weakly_connected(self, members: frozenset[int]) -> bool:
         """Whether *members* (all relevant) lie in one weakly connected

@@ -20,10 +20,18 @@ code: they must read the engine's O(1)/O(Δ) surfaces (``potential()``,
 ``gone_count``, ``edge_count``, ``members_weakly_connected``) and never
 materialize a snapshot or scan the process population — the observer
 spy in ``tests/sim/test_step_path_spy.py`` runs the Lemma 2 and Lemma 3
-monitors every step and fails on either. Streaming trace export and
-the documented probe catalog live in :mod:`repro.obs`. Exit safety is a
-property of the oracle, not of a step: it is audited by wrapping the
-run's oracle in :class:`~repro.core.oracles.AuditedOracle`.
+monitors every step and fails on either. The Lemma 2 and Lemma 3
+monitors act only every ``check_every`` steps and say so through
+``next_wakeup(step)``; a ``soa`` run then keeps its core batches, ends
+them at those step counts and calls the monitors there with
+``executed=None``, where the core answers ``relevant_pids()``,
+``members_weakly_connected`` and ``potential()`` (docs/OBSERVABILITY.md
+"Monitors on the core"). :class:`TransitionMonitor` reads every step, so
+it declares no wakeup and keeps a run on the object loop. Streaming
+trace export and the documented probe catalog live in :mod:`repro.obs`.
+Exit safety is a property of the oracle, not of a step: it is audited
+by wrapping the run's oracle in
+:class:`~repro.core.oracles.AuditedOracle`.
 """
 
 from __future__ import annotations
@@ -53,8 +61,10 @@ class ConnectivityMonitor:
     per-component check is exact.)
 
     The check goes through :meth:`Engine.members_weakly_connected`, which
-    answers from the live union-find instead of rebuilding a snapshot — per-step checking (``check_every=1``) costs
-    O(Δ) amortized rather than O(V+E).
+    answers from the core's kept component labels or the live
+    union-find instead of rebuilding a snapshot — per-step checking
+    (``check_every=1``) costs O(Δ) amortized on the live graph rather
+    than O(V+E).
     """
 
     def __init__(self, check_every: int = 1) -> None:
@@ -63,10 +73,14 @@ class ConnectivityMonitor:
         self.check_every = check_every
         self.checks = 0
 
-    def __call__(self, engine: Engine, executed: ExecutedStep) -> None:
+    def __call__(self, engine: Engine, executed: ExecutedStep | None) -> None:
         if engine.step_count % self.check_every != 0:
             return
         self.verify(engine)
+
+    def next_wakeup(self, step: int) -> int:
+        """The next multiple of ``check_every`` after *step*."""
+        return (step // self.check_every + 1) * self.check_every
 
     def verify(self, engine: Engine) -> None:
         """Run the check now, raising on violation."""
@@ -101,7 +115,7 @@ class PotentialMonitor:
         self.values: list[int] = []
         self._last: int | None = None
 
-    def __call__(self, engine: Engine, executed: ExecutedStep) -> None:
+    def __call__(self, engine: Engine, executed: ExecutedStep | None) -> None:
         if engine.step_count % self.check_every != 0:
             return
         phi = engine.potential()
@@ -112,6 +126,10 @@ class PotentialMonitor:
                 f"from {self._last} to {phi}"
             )
         self._last = phi
+
+    def next_wakeup(self, step: int) -> int:
+        """The next multiple of ``check_every`` after *step*."""
+        return (step // self.check_every + 1) * self.check_every
 
     def rebase(self, engine: Engine | None = None) -> None:
         """Forget the last observed Φ (keeping the recorded series).

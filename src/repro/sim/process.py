@@ -228,6 +228,10 @@ class Process:
                 if name.startswith("on_") and callable(value):
                     table[name[3:]] = name
         cls._action_table = table
+        if "stored_refs" in vars(cls) and "stored_pids" not in vars(cls):
+            # A class that redefines its stores without a matching fast
+            # stored_pids derives it from stored_refs again.
+            cls.stored_pids = Process.stored_pids  # type: ignore[method-assign]
 
     @classmethod
     def action_labels(cls) -> tuple[str, ...]:
@@ -293,6 +297,13 @@ class Process:
         """
 
         return ()
+
+    def stored_pids(self) -> list[int]:
+        """Pids of the references :meth:`stored_refs` enumerates, in its
+        order and with multiplicity, for scans that need only the edge
+        endpoints. Subclasses with flat stores override it to skip the
+        per-reference :class:`RefInfo`."""
+        return [info.ref._pid for info in self.stored_refs()]  # noqa: SLF001
 
     def describe_vars(self) -> dict[str, Any]:
         """Human-readable dump of protocol variables (tracing/debugging)."""

@@ -50,7 +50,12 @@ distance over :meth:`neighbours`, :meth:`same_component`,
 :meth:`pending_count`, and the Φ and edge counters), so neither the
 live graph nor the object model is rebuilt just to answer a question.
 Hibernation (which needs sleepers' channel and reachability fixpoint)
-stays a live-graph query.
+stays a live-graph query; with no sleeper, :meth:`alive_pids` is the
+relevant set. The out-of-band faults a chaos campaign injects are core
+operations too: :meth:`post` plants a message and
+:meth:`rewrite_belief` flips a stored belief, each with the same
+record, tallies and Φ/edge deltas as the object path, and verify mode
+applies them to both sides and compares (:meth:`cross_check`).
 
 Every scalar counter that crosses between the engine and the core is
 named once, in :data:`_COUNTERS`: construction imports through it, the
@@ -78,6 +83,7 @@ iteration orders stay bit-identical between the two cores.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, Any
 
@@ -114,6 +120,8 @@ _STAYING, _LEAVING, _NONE = 0, 1, 2
 _AWAKE, _ASLEEP, _GONE = 0, 1, 2
 
 _MODE_BY_CODE: tuple = (Mode.STAYING, Mode.LEAVING, None)
+#: ``bytes.translate`` table of the lifecycle column: 1 unless gone.
+_NOT_GONE = bytes(int(code != _GONE) for code in range(256))
 _STATE_BY_CODE: tuple = (PState.AWAKE, PState.ASLEEP, PState.GONE)
 
 # Channel record layout: one Python int per pending message.
@@ -192,13 +200,19 @@ _COUNTERS: tuple[tuple[str, str], ...] = (
 _TALLIES = _TALLY_FIELDS
 
 
+#: :data:`_COUNTERS` as (core attribute, whether the engine side is a
+#: stats field, engine-side attribute), split once.
+_ROWS: tuple[tuple[str, bool, str], ...] = tuple(
+    (name, path.startswith("stats."), path.rpartition(".")[2]) for name, path in _COUNTERS
+)
+
+
 def _engine_side(engine: Engine) -> Iterator[tuple[str, Any, str]]:
     """(core attribute, engine-side owner, attribute) per
     :data:`_COUNTERS` row."""
     stats = engine.stats
-    for name, path in _COUNTERS:
-        owner, _, attr = path.rpartition(".")
-        yield name, stats if owner else engine, attr
+    for name, in_stats, attr in _ROWS:
+        yield name, stats if in_stats else engine, attr
 
 
 def _slot(ref: Any, pid: int, slot_of: dict[int, int], what: str) -> int:
@@ -871,6 +885,51 @@ class EngineCore:
         # The engine's scheduler wake consumes one freshness stamp.
         self.clock += 1
 
+    # ------------------------------------------------------------------ out-of-band faults
+
+    def post(self, u: int, msg: Message) -> None:
+        """Kernel of an out-of-band ``Engine.post(None, ...)`` of *msg*
+        (one ``RefInfo`` argument, seq :attr:`next_seq`) to non-gone slot
+        *u*: the record (sender packed as 0), tally and Φ/edge delta of a
+        :meth:`_send`. The engine notifies the scheduler. A plant that
+        joins two labelled components drops the labels for a relabel.
+        Raises :class:`CoreUnsupported` before any write when the label
+        table is full."""
+        rec = self._encode_msg(msg, self._label_of)
+        self.next_seq = msg.seq + 1
+        self.ch[u][msg.seq] = rec
+        self.received_by[u] += 1
+        v = ((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1
+        bel = (rec >> _BEL_SHIFT) & 3
+        self._edge(u, v, _STAYING if bel == _NONE else bel, 1)
+        labels = self._labels
+        if labels is not None and self.state_[v] != _GONE and labels[v] != labels[u]:
+            self._labels = None
+
+    def beliefs_of(self, u: int) -> list[tuple[str, int, Mode | None]]:
+        """Slot *u*'s stored beliefs as ``(store, pid, belief)``: each
+        ``N`` entry in store order, then the anchor if one is set."""
+        pids = self.pids
+        found = [("N", pids[v], _MODE_BY_CODE[bel]) for v, bel in self.N[u].items()]
+        a = self.anchor_[u]
+        if a >= 0:
+            found.append(("anchor", pids[a], _MODE_BY_CODE[self.abelief_[u]]))
+        return found
+
+    def rewrite_belief(self, u: int, store: str, pid: int, belief: Mode) -> None:
+        """Set the belief slot *u* stores about *pid* in *store* (``"N"``
+        or ``"anchor"``), with its Φ delta: a belief fault. The reference
+        stays, so the edge endpoints and the component labels do too."""
+        v = self.slot_of[pid]
+        bel = _code(belief)
+        if store == "N":
+            self._nstore(u, v, bel)
+            return
+        old = self.abelief_[u]
+        self._edge(u, v, _STAYING if old == _NONE else old, -1)
+        self.abelief_[u] = bel
+        self._edge(u, v, _STAYING if bel == _NONE else bel, 1)
+
     # ------------------------------------------------------------------ oracle
 
     def _single(self, u: int) -> bool:
@@ -944,6 +1003,12 @@ class EngineCore:
         """Lifecycle state of slot *u*."""
         return _STATE_BY_CODE[self.state_[u]]
 
+    def alive_pids(self) -> frozenset[int]:
+        """Pids of the non-gone slots: the relevant processes while no
+        slot is asleep, since only sleepers hibernate."""
+        # Reaped slots (pid None) stay gone until recycled.
+        return frozenset(compress(self.pids, self.state_.translate(_NOT_GONE)))
+
     def _relabel(self) -> tuple[list[int], list[tuple[int, int]]]:
         """One full labelling: the weak-component label of every slot, by
         union-find over the ``in_`` index (every edge of PG is some
@@ -986,8 +1051,10 @@ class EngineCore:
         a batch or a mirrored step walks it (:meth:`_check_certificate`);
         only a failed repair, a genuine split, pays a full O(V + distinct
         pairs) :meth:`_relabel`. Admits extend the labels
-        (:meth:`_join_labels`), reaps and departure flips keep them, and
-        an out-of-band mutation rebuilds the whole core. Gone slots'
+        (:meth:`_join_labels`), reaps, departure flips and belief faults
+        keep them, a planted message that joins two labels drops them
+        (:meth:`post`), and any other out-of-band mutation rebuilds the
+        whole core. Gone slots'
         labels are stale: every query filters gone slots first.
         """
         if self._labels is None:
@@ -1803,17 +1870,27 @@ class EngineCore:
         pending and edge totals (while the live graph is current) and the
         acting process's lifecycle state. The O(n) per-pid tallies wait
         for :meth:`verify_full`."""
-        mismatches = self._counter_mismatches(engine)
         want = _STATE_BY_CODE.index(engine.processes[executed.pid].state)
-        if self.state_[u] != want:
-            mismatches.append(f"state[{executed.pid}]: core={self.state_[u]} obj={want}")
+        wrong = (
+            [f"state[{executed.pid}]: core={self.state_[u]} obj={want}"]
+            if self.state_[u] != want
+            else []
+        )
+        self.cross_check(engine, repr(executed), wrong)
+
+    def cross_check(self, engine: Engine, what: str, wrong: Iterable[str] = ()) -> None:
+        """Verify mode's check after *what*, a mirrored step or a core
+        operation applied to both sides: every :data:`_COUNTERS` scalar,
+        plus Φ, pending and edge totals while the live graph is current.
+        *wrong* lists mismatches the caller already found."""
+        mismatches = self._counter_mismatches(engine) + list(wrong)
         live = engine._live  # noqa: SLF001
         if live is not None and not engine._live_stale:  # noqa: SLF001
             mismatches += self._total_mismatches(live)
         if mismatches:
             raise StateViolation(
                 "struct-of-arrays core diverged from the object engine at "
-                f"step {engine.step_count} ({executed!r}): "
+                f"step {engine.step_count} ({what}): "
                 + "; ".join(mismatches)
             )
 
@@ -1936,8 +2013,9 @@ class EngineCore:
         engine._live_stale = True  # noqa: SLF001
         engine._stale = True  # noqa: SLF001
         engine._snapshot_cache = None  # noqa: SLF001
-        for name, owner, attr in _engine_side(engine):
-            setattr(owner, attr, getattr(self, name))
+        stats = engine.stats
+        for name, in_stats, attr in _ROWS:
+            setattr(stats if in_stats else engine, attr, getattr(self, name))
         engine._lifecycle_stale = False  # noqa: SLF001
         engine.stats.defer_tallies(self._fill_tallies)
 

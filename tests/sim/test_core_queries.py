@@ -424,19 +424,33 @@ def _admit_unmirrored(e: Engine) -> None:
 
 
 def _post_present(e: Engine) -> None:
-    """Plant one message out-of-band: the core is marked stale."""
+    """Plant one message out-of-band: a core operation, so the core
+    stays current and the export deferred."""
     ref = e._processes[min(e.staying_pids())].self_ref
     e.post(None, ref, "present", (RefInfo(ref, Mode.STAYING),))
+    if e.engine_mode == "soa":
+        assert e.core_status["active"] and not e._core_stale
+        assert e._export_pending
+
+
+def _edit_store(e: Engine) -> None:
+    """Edit a store behind the engine's back: the core is marked stale."""
+    staying = min(e.staying_pids())
+    proc = e.processes[staying]
+    proc.N[e.ref(min(e.staying_pids() - {staying}))] = Mode.LEAVING
+    e._dirty = True
     if e.engine_mode == "soa":
         assert e.core_status["active"] and e._core_stale
         assert not e._export_pending
 
 
-@pytest.mark.parametrize("poke", [_admit_unmirrored, _post_present], ids=["admit", "post"])
+@pytest.mark.parametrize(
+    "poke", [_admit_unmirrored, _post_present, _edit_store], ids=["admit", "post", "edit"]
+)
 def test_core_dropped_inside_predicate_leaves_objects_exported(poke):
-    """A predicate that drops or stales the core runs once per boundary
-    in every mode, and the rest of the run ends in the object loop's
-    state."""
+    """A predicate that drops or stales the core, or posts through it,
+    runs once per boundary in every mode, and the rest of the run ends
+    in the object loop's state."""
     finals = {}
     boundaries = {}
     for mode in ("objects", "soa", "verify"):

@@ -18,8 +18,8 @@ Coverage mandated by the acceptance criteria:
 * Φ trajectories sampled mid-run, not just endpoints;
 * LiveGraph snapshot agreement (edge multisets, node views);
 * identical executed schedules (``ScheduleRecorder`` traces);
-* fault-injected states (``scramble_beliefs`` mid-run — exercises the
-  core-stale rebuild path);
+* fault-injected states (``scramble_beliefs`` mid-run — a core
+  operation on a soa engine, written to both sides in verify mode);
 * one chaos capsule replayed on both cores, with replay verification on
   (a counter divergence raises, so passing *is* the bit-identity check).
 
@@ -249,9 +249,10 @@ def test_trace_records_identical(scheduler):
 @given(seed=st.integers(0, 5_000))
 @settings(max_examples=8, **HYPOTHESIS_SETTINGS)
 def test_fault_injected_states_identical(seed):
-    """Mid-run ``scramble_beliefs`` flags ``_dirty`` → the SoA core is
-    marked stale and must rebuild from the mutated object state. Both
-    cores then continue from the identical re-poisoned configuration."""
+    """Mid-run ``scramble_beliefs`` rewrites beliefs through the engine
+    facade: on the core's columns in soa mode, on both sides in verify
+    mode. Every mode then continues from the identical re-poisoned
+    configuration."""
     results = {}
     for mode in MODES:
         engine = _build("fdp", "random", seed, 12, engine_mode=mode)
@@ -265,7 +266,7 @@ def test_fault_injected_states_identical(seed):
 
 def test_core_survives_stale_rebuild():
     """After the out-of-band mutation the soa engine must *still* be on
-    the fast path — rebuilt, not silently degraded to the object loop."""
+    the fast path, not silently degraded to the object loop."""
     engine = _build("fdp", "random", 3, 12, engine_mode="soa")
     engine.run(60, check_every=97)
     assert engine.core_status["active"], engine.core_status
@@ -275,11 +276,11 @@ def test_core_survives_stale_rebuild():
 
 
 def test_verify_survives_monitor_injected_faults():
-    """A chaos campaign mutating state from *inside* monitor dispatch is
-    out-of-band for the mirror: verify mode must resync at the next
-    step, not cross-check the stale mirror and diverge (regression:
-    ``_stepping`` stayed True across monitor dispatch, so the campaign's
-    posts never marked the core stale)."""
+    """A chaos campaign mutating state from *inside* monitor dispatch
+    must not leave the mirror diverged: monitors run after the mirrored
+    step, so the injections are core operations cross-checked on both
+    sides (regression: ``_stepping`` stayed True across monitor
+    dispatch, so the campaign's posts never reached the core)."""
     from repro.chaos.campaigns import ChaosCampaign
 
     engine = _build("fdp", "random", 33, 12, engine_mode="verify")

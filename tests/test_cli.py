@@ -168,3 +168,21 @@ class TestChaosCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "0 failures" in out
+
+    def test_chaos_soak_core_column(self, capsys, monkeypatch):
+        """On the core, the fdp and fsp cells say they ran core batches;
+        the framework cells name why they could not."""
+        monkeypatch.setenv("REPRO_ENGINE_MODE", "soa")
+        rc = main(
+            ["chaos", "soak", "--quick", "--n", "8", "--max-steps", "30000",
+             "--inject-every", "200"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        rows = {
+            cells[0]: cells[-1]
+            for line in out.splitlines()
+            if len(cells := [c.strip() for c in line.split("|")]) == 8
+        }
+        assert rows["fdp"] == rows["fsp"] == "core"
+        assert rows["ring"] == "non-FDP/FSP population (FrameworkProcess)"
