@@ -22,11 +22,15 @@ and trip with a structured :class:`StallDiagnosis`:
   (the memory guard: unbounded channel growth kills the host before any
   step budget is reached).
 
-Hot-path discipline: every per-step check reads only O(1) counters
+Hot-path discipline: every check reads only O(1) counters
 (``potential()``/``pending_count``/``edge_count``/lifecycle counts), and
 a watchdog acts only every ``check_every`` steps, which
 :meth:`Watchdog.next_wakeup` declares: a ``soa`` run keeps its core
-batches and calls the watchdogs at those step counts.
+batches and calls the watchdogs at those step counts. The backlog
+watchdog declares fewer: once its window is open, only the first
+multiple at which the backlog could exceed its bound, from the
+engine's :meth:`~repro.sim.engine.Engine.backlog_horizon`; the
+multiples it passes still count as checks.
 The O(n) channel attribution (:func:`repro.obs.metrics.top_backlog`)
 runs only when building a trip diagnosis — i.e. once, on the way out.
 
@@ -138,14 +142,20 @@ class Watchdog:
         self.check_every = int(check_every)
         self.raise_on_trip = bool(raise_on_trip)
         self.tripped: StallDiagnosis | None = None
-        self.checks = 0
+        self._checks = 0
+
+    @property
+    def checks(self) -> int:
+        """Checks made: one per multiple of ``check_every`` the run
+        reached before a trip."""
+        return self._checks
 
     def __call__(self, engine: Engine, executed: ExecutedStep | None) -> None:
         if engine.step_count % self.check_every != 0:
             return
         if self.tripped is not None:
             return  # latched (raise_on_trip=False); one diagnosis per run
-        self.checks += 1
+        self._checks += 1
         verdict = self._check(engine)
         if verdict is None:
             return
@@ -414,6 +424,21 @@ class BacklogWatchdog(Watchdog):
     comparison; the bound should sit far above any healthy scenario's
     peak (admissible initial states have finitely many messages, and
     Lemma 3 runs drain them).
+
+    Once its window is open, :meth:`next_wakeup` names the first
+    multiple of ``check_every`` at which the backlog *could* exceed the
+    bound, from the engine's :meth:`~repro.sim.engine.Engine.backlog_horizon`
+    at the moment the engine asks; a run on the core then passes the
+    multiples before it without a call. Each of them would have passed
+    the check, so it still counts in :attr:`checks`, and the trip step
+    and diagnosis are those of a call at every multiple. An engine that
+    cannot bound its sends gets every multiple.
+
+    It watches one engine at a time, the one of its last call: called
+    by another, it starts following that one, and it derives wakeups
+    only when asked at the step count of the engine it follows. Each
+    call settles the count, so taken off after one it counts no
+    further multiples.
     """
 
     kind = "backlog"
@@ -430,6 +455,69 @@ class BacklogWatchdog(Watchdog):
             raise ConfigurationError("max_pending must be >= 1")
         self.max_pending = int(max_pending)
         self._floor: tuple[int, int] | None = None  # (step, pending) at window open
+        #: the engine of the last call: the one this watchdog follows,
+        #: whose horizon it derives its wakeup from
+        self._engine: Engine | None = None
+        #: the step count of the last ask by that engine whose core
+        #: batch no call has settled yet: the multiples after it were
+        #: passed without one
+        self._asked: int | None = None
+
+    @property
+    def checks(self) -> int:
+        """Checks made, with the multiples a core batch passed without a
+        call. The multiple the engine stands at is not among them: the
+        monitor call there, made or cut short by an earlier monitor
+        raising, decides it, as on the object loop."""
+        engine = self._engine
+        if engine is None:
+            return self._checks
+        return self._checks + self._passed(engine.step_count)
+
+    def _passed(self, step: int) -> int:
+        """How many multiples of ``check_every`` lie strictly between the
+        last unsettled ask and *step*: none once latched."""
+        asked = self._asked
+        if asked is None or self.tripped is not None or step <= asked:
+            return 0
+        every = self.check_every
+        return (step - 1) // every - asked // every
+
+    def _settle(self) -> None:
+        """Count the multiples the last core batch passed without a call."""
+        self._checks = self.checks
+        self._asked = None
+
+    def __call__(self, engine: Engine, executed: ExecutedStep | None) -> None:
+        if self._asked is not None:
+            self._settle()  # on the engine it followed until now
+        self._engine = engine
+        super().__call__(engine, executed)
+
+    def next_wakeup(self, step: int) -> int | None:
+        """The first multiple of ``check_every`` after *step* at which
+        the backlog could exceed ``max_pending``; the next multiple
+        while the window is not open, when the engine it follows is not
+        at *step*, or when that engine cannot bound its sends; ``None``
+        once latched.
+
+        The engine asks at the start of each core batch: the ask
+        settles the batch before it (whose closing call stopped short of
+        this watchdog when an earlier monitor raised) and opens the next.
+        """
+        self._settle()
+        wake = super().next_wakeup(step)
+        engine = self._engine
+        if engine is None or engine.step_count != step:
+            return wake  # not asked by the engine it follows
+        self._asked = step
+        if wake is None or self._floor is None:
+            return wake
+        horizon = engine.backlog_horizon(self.max_pending)
+        if horizon is None:
+            return wake
+        every = self.check_every
+        return max(wake, -(-(step + horizon + 1) // every) * every)
 
     def rebase(self, engine: Engine | None = None) -> None:
         self._floor = None

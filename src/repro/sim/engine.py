@@ -286,11 +286,12 @@ class Engine:
         Callables ``(engine, executed_step) -> None`` run after every step,
         in order; they raise :class:`~repro.errors.SafetyViolation` on
         invariant breaks. A monitor may declare ``next_wakeup(step)``,
-        the next step count after *step* at which its call is not a
-        no-op (``None``: never again). When every monitor does, a
+        the next step count after *step* at which its call may act
+        (``None``: never again), a sound lower bound that may depend
+        on the engine's current state. When every monitor does, a
         ``soa`` run stays on the core: :meth:`run` ends each core batch
-        at the earliest wakeup and calls every monitor there with
-        ``executed_step=None``, so such a monitor reads only O(1) or
+        at the earliest wakeup (or sooner) and calls every monitor after
+        it with ``executed_step=None``, so such a monitor reads only O(1) or
         core-served engine state (docs/OBSERVABILITY.md "Monitors on the
         core"). Any other monitor keeps the run on the object loop.
     tracer:
@@ -391,6 +392,9 @@ class Engine:
         #: reason kept for ``core_status``.
         self._core: Any | None = None
         self._core_stale = False
+        #: verify mode's record of the last partition epoch served and
+        #: the raw core label of every non-gone pid under it.
+        self._epoch_labels: tuple[object, dict[int, int]] | None = None
         #: True while the core is ahead of the process stores and
         #: channels: a soa predicate boundary exported only the counters.
         #: The ``processes``/``channels`` properties finish the export.
@@ -1600,8 +1604,7 @@ class Engine:
         ``next_wakeup``, a core-drivable scheduler) take core batches,
         which also end at the monitors' earliest wakeup. After each
         one only the counters are exported, then its steps go to the
-        tracer, then the monitors run if the batch reached their
-        wakeup, and the core
+        tracer, then the monitors run, and the core
         answers graph queries through the query facade; the process
         stores and channels are exported when something first reads
         :attr:`processes` or :attr:`channels`. The run returns with that
@@ -1661,7 +1664,7 @@ class Engine:
                     self._defer_export(core)
                     if tracer is not None:
                         self._hand_over_steps(tracer, core)
-                    if self.step_count == wake:
+                    if executed:  # a round after every batch, as after every step
                         for monitor in monitors:
                             monitor(self, None)
                 else:
@@ -1729,8 +1732,9 @@ class Engine:
     def _next_wakeup(self, monitors: Sequence[Any]) -> int | None:
         """The earliest step count after the current one at which a
         monitor's call may act (its ``next_wakeup``), or ``None`` when
-        none ever will. A core batch ends there and calls every monitor,
-        as the object loop would after that step."""
+        none ever will. A core batch ends there at the latest, and every
+        monitor is called after it, as the object loop would after its
+        last step."""
         now = self.step_count
         wake = None
         for monitor in monitors:
@@ -1847,7 +1851,7 @@ class Engine:
         if core is None:
             return hop_distance(self._ensure_live().partners, src, dst)
         s, t = core.slot_of.get(src), core.slot_of.get(dst)
-        found = None if s is None or t is None else hop_distance(core.neighbours, s, t)
+        found = None if s is None or t is None else hop_distance(core.adjacent, s, t)
         if self._engine_mode == "soa":
             return found
         return self._checked(
@@ -1939,8 +1943,10 @@ class Engine:
 
     def _check_labels(self, core: Any) -> None:
         """Verify mode: the core's kept, certificate-checked labels must
-        give the partition a full relabel of the core gives."""
+        give the partition a full relabel of the core gives, and right
+        after the walk every certificate pair must be live."""
         self._checked("component labelling", core.partition(), core.partition(fresh=True))
+        self._checked("dead certificate pairs", [], core.dead_certificate_pairs())
 
     def _scan_component_labels(self) -> dict[int, int]:
         """:meth:`component_labels` by one list-based union-find pass
@@ -2086,6 +2092,65 @@ class Engine:
         live = self._ensure_live()
         via = (live.relevant() & admitted) if admitted else frozenset()
         return live.induced_connected(members, via=via)
+
+    def partition_epoch(self) -> object | None:
+        """A token of the current weak-component partition: while two
+        reads return the same token (``is``), every process that was non-gone at
+        the first read and still is kept its component, and no two
+        components merged. ``None`` when the engine cannot serve one:
+        no core holds the current state, or a process sleeps (relevance
+        is then a live-graph question).
+
+        The core's :meth:`~repro.sim.soa.EngineCore.partition_epoch`,
+        read after its certificate walk. Verify mode holds the kept
+        labels to a full relabel (:meth:`_check_labels`) and, while the
+        token repeats, every non-gone pid's raw label to the one it had
+        when the token was first served.
+        """
+        core = self._query_core()
+        if core is None or self.asleep_count:
+            return None
+        epoch = core.partition_epoch()
+        if self._engine_mode == "verify":
+            self._check_labels(core)
+            self._check_epoch(core, epoch)
+        return epoch
+
+    def _check_epoch(self, core: Any, epoch: object) -> None:
+        """Verify mode: a repeated partition epoch left every label of a
+        pid that is still non-gone where it was."""
+        labels = core._labels  # noqa: SLF001
+        now = {
+            pid: labels[slot]
+            for pid, slot in core.slot_of.items()
+            if core.state_of(slot) is not PState.GONE
+        }
+        seen = self._epoch_labels
+        if seen is None or seen[0] is not epoch:
+            self._epoch_labels = (epoch, now)
+            return
+        then = seen[1]
+        kept = [pid for pid in now if pid in then]
+        self._checked(
+            "labels under one partition epoch",
+            {pid: then[pid] for pid in kept},
+            {pid: now[pid] for pid in kept},
+        )
+
+    def backlog_horizon(self, limit: int) -> int | None:
+        """How many more steps :attr:`pending_count` is sure to stay at
+        or below *limit*: the largest k such that no step among the next
+        k can take it above, from the current counters and a bound on
+        how many messages one step sends. ``None`` when the engine
+        cannot bound its sends: no core holds the current state (the
+        object loop, or a population the core does not run).
+
+        Served by :meth:`~repro.sim.soa.EngineCore.backlog_horizon`.
+        """
+        core = self._query_core()
+        if core is None:
+            return None
+        return core.backlog_horizon(limit)
 
     # ------------------------------------------------------------------ reporting
 

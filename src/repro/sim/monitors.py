@@ -15,19 +15,22 @@ protocol transcription violated a proof obligation.
   transition actually taken so the experiment can check the observed set
   equals the drawn set.
 
-Monitors run once per executed step, so they are observation hot-path
-code: they must read the engine's O(1)/O(Δ) surfaces (``potential()``,
-``gone_count``, ``edge_count``, ``members_weakly_connected``) and never
+On the object loop a monitor is called after every executed step, so
+monitors are observation hot-path code: they must read the engine's
+O(1)/O(Δ) surfaces (``potential()``, ``gone_count``, ``edge_count``,
+``partition_epoch()``, ``members_weakly_connected``) and never
 materialize a snapshot or scan the process population — the observer
 spy in ``tests/sim/test_step_path_spy.py`` runs the Lemma 2 and Lemma 3
 monitors every step and fails on either. The Lemma 2 and Lemma 3
 monitors act only every ``check_every`` steps and say so through
 ``next_wakeup(step)``; a ``soa`` run then keeps its core batches, ends
-them at those step counts and calls the monitors there with
-``executed=None``, where the core answers ``relevant_pids()``,
-``members_weakly_connected`` and ``potential()`` (docs/OBSERVABILITY.md
-"Monitors on the core"). :class:`TransitionMonitor` reads every step, so
-it declares no wakeup and keeps a run on the object loop. Streaming
+them at those step counts at the latest and calls the monitors after
+each, with ``executed=None``, where the core answers ``partition_epoch()``,
+``relevant_pids()``, ``members_weakly_connected`` and ``potential()``
+(docs/OBSERVABILITY.md "Monitors on the core"). While the core's
+partition epoch repeats, a Lemma 2 check costs one targeted certificate
+walk. :class:`TransitionMonitor` reads every step, so it declares no
+wakeup and keeps a run on the object loop. Streaming
 trace export and the documented probe catalog live in :mod:`repro.obs`.
 Exit safety is a property of the oracle, not of a step: it is audited
 by wrapping the run's oracle in
@@ -64,7 +67,8 @@ class ConnectivityMonitor:
     answers from the core's kept component labels or the live
     union-find instead of rebuilding a snapshot — per-step checking
     (``check_every=1``) costs O(Δ) amortized on the live graph rather
-    than O(V+E).
+    than O(V+E). On the core it is skipped while the partition epoch is
+    the one of the last passing check (:meth:`verify`).
     """
 
     def __init__(self, check_every: int = 1) -> None:
@@ -72,6 +76,8 @@ class ConnectivityMonitor:
             raise ConfigurationError("check_every must be >= 1")
         self.check_every = check_every
         self.checks = 0
+        #: the engine's partition epoch at the last passing check
+        self._passed_epoch: object | None = None
 
     def __call__(self, engine: Engine, executed: ExecutedStep | None) -> None:
         if engine.step_count % self.check_every != 0:
@@ -83,8 +89,19 @@ class ConnectivityMonitor:
         return (step // self.check_every + 1) * self.check_every
 
     def verify(self, engine: Engine) -> None:
-        """Run the check now, raising on violation."""
+        """Run the check now, raising on violation.
+
+        It passes at once when the engine's partition epoch
+        (:meth:`Engine.partition_epoch`) is the one of the last passing
+        check: no process changed component since, and a subset of a
+        connected member set stays connected, since the relevant
+        members of a component only shrink while nothing sleeps.
+        Otherwise every initial component's members are checked.
+        """
         self.checks += 1
+        epoch = engine.partition_epoch()
+        if epoch is not None and epoch is self._passed_epoch:
+            return
         relevant = engine.relevant_pids()
         for comp in engine.initial_components:
             members = frozenset(comp) & relevant
@@ -96,6 +113,7 @@ class ConnectivityMonitor:
                     f"processes {sorted(members)} of an initial component are "
                     "no longer weakly connected"
                 )
+        self._passed_epoch = epoch
 
 
 class PotentialMonitor:

@@ -83,8 +83,10 @@ iteration orders stay bit-identical between the two cores.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from itertools import compress
-from collections.abc import Iterable, Iterator
+from math import isqrt
+from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import (
@@ -118,6 +120,16 @@ __all__ = ["EngineCore", "CoreUnsupported"]
 _STAYING, _LEAVING, _NONE = 0, 1, 2
 # Lifecycle codes, aligned with PState ordering used throughout.
 _AWAKE, _ASLEEP, _GONE = 0, 1, 2
+
+#: Steps for which a scan of the store sizes serves the send bound
+#: (:meth:`EngineCore.backlog_horizon`) before it is scanned again. A
+#: scan reads every slot (38 µs at 1,024 slots), and the backlog
+#: watchdog asks at every core batch (2,919 asks per 50k-step
+#: ``supervised`` replay, 112 ms of scans); a window of 256 steps takes
+#: that to 197 scans while the horizon it serves stays at 465 steps or
+#: more, far beyond the 32 to 37 steps between the other monitors'
+#: wakeups (docs/PERF.md "Monitors on the core").
+_STORE_RESCAN = 256
 
 _MODE_BY_CODE: tuple = (Mode.STAYING, Mode.LEAVING, None)
 #: ``bytes.translate`` table of the lifecycle column: 1 unless gone.
@@ -303,7 +315,11 @@ class EngineCore:
         "step_log",
         "_labels",
         "_cert",
+        "_cert_at",
         "_cert_pending",
+        "_dirty",
+        "_epoch",
+        "_store_scan",
         "_next_label",
         "label_checks",
         "label_repairs",
@@ -436,13 +452,23 @@ class EngineCore:
         self.step_log: list[tuple] | None = None
         #: weak-component label per slot, computed on the first
         #: connectivity query and then kept: ``_cert`` is the certificate
-        #: of slot pairs that proves it, ``_cert_pending`` says a batch
-        #: ran since it was last walked, ``_next_label`` is the next
-        #: unused label (see :meth:`_component_labels`).
+        #: of slot pairs that proves it as the relabel listed it, until
+        #: the first walk moves it into ``_cert_at`` (slot → the slots it
+        #: is paired with); ``_cert_pending`` says a batch ran since it
+        #: was last walked, ``_dirty`` holds the slots that lost an
+        #: ``in_`` entry or went gone since then (at most one entry per
+        #: slot), ``_epoch`` names the labelling and ``_next_label`` is
+        #: the next unused label (see :meth:`_component_labels`).
         self._labels: list[int] | None = None
-        self._cert: list[tuple[int, int]] = []
+        self._cert: list[tuple[int, int]] | None = []
+        self._cert_at: defaultdict[int, list[int]] | None = None
         self._cert_pending = False
+        self._dirty: set[int] = set()
+        self._epoch: object = None
         self._next_label = 0
+        #: (bound, steps): a scan of the store sizes for the send bound
+        #: of :meth:`backlog_horizon`, or None until the first ask.
+        self._store_scan: tuple[int, int] | None = None
         #: certificate walks, pairs repaired by a search, and full
         #: relabels (the first labelling included).
         self.label_checks = 0
@@ -546,13 +572,16 @@ class EngineCore:
     # ------------------------------------------------------------------ edges
 
     def _edge(self, src: int, dst: int, nb: int, count: int) -> None:
-        """Apply an edge-multiset delta (*nb* is the normalized belief)."""
+        """Apply an edge-multiset delta (*nb* is the normalized belief).
+        Deleting an ``in_`` entry marks its owner for the certificate
+        walk, as the two inlined dequeues do."""
         inn = self.in_[dst]
         c = inn.get(src, 0) + count
         if c:
             inn[src] = c
         else:
             del inn[src]
+            self._dirty.add(dst)
         self.edge_total += count
         if nb != self.mode_[dst]:
             self.phi += count
@@ -669,6 +698,7 @@ class EngineCore:
             self.exits += 1
             self.gone += 1
             self.gen_[u] += 1
+            self._dirty.add(u)  # every certificate pair at u died
             if sched is not None:
                 sched.notify_gone(self.pids[u], list(self.ch[u]))
             self._out_edges(u, -1)
@@ -878,6 +908,7 @@ class EngineCore:
                 getattr(self, name).append(0)
         self.slot_of[pid] = u
         self._fill_slot(u, proc, stores)
+        self._store_scan = None
         self._out_edges(u, 1)
         if self._labels is not None:
             self._join_labels(u)
@@ -974,25 +1005,41 @@ class EngineCore:
 
     # ------------------------------------------------------------------ queries
 
-    def neighbours(self, u: int) -> set[int]:
-        """Slots of the non-gone processes (other than *u*) that share an
-        edge with slot *u* in either direction: the ``in_`` index plus
-        *u*'s own stores (N, anchor, parked, channel subjects). A gone
-        slot has no edges, so no neighbours. The one neighbour walk of
-        :meth:`partners` and the engine's hop-distance query."""
+    def adjacent(self, u: int) -> Iterator[int]:
+        """The slots of the non-gone processes that share an edge with
+        slot *u* in either direction, straight from the ``in_`` index
+        and *u*'s own stores (N, anchor, parked, channel subjects): a
+        slot may come more than once, and *u* itself when it holds its
+        own reference. A gone slot has no edges, so no neighbours. The
+        neighbour walk of the searches (the engine's hop distance, the
+        certificate repair), which skip what they have seen and so need
+        no set per visited slot."""
         state_ = self.state_
         if state_[u] == _GONE:
-            return set()
-        slots = set(self.in_[u])
-        slots.update(self.N[u])
+            return
+        for q in self.in_[u]:
+            if state_[q] != _GONE:
+                yield q
+        for q in self.N[u]:
+            if state_[q] != _GONE:
+                yield q
         a = self.anchor_[u]
-        if a >= 0:
-            slots.add(a)
+        if a >= 0 and state_[a] != _GONE:
+            yield a
         if self.is_fsp:
-            slots.update(self.parked[u])
+            for q in self.parked[u]:
+                if state_[q] != _GONE:
+                    yield q
         for rec in self.ch[u].values():
-            slots.add(((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1)
-        return {q for q in slots if q >= 0 and q != u and state_[q] != _GONE}
+            q = ((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1
+            if q >= 0 and state_[q] != _GONE:
+                yield q
+
+    def neighbours(self, u: int) -> set[int]:
+        """The distinct slots of :meth:`adjacent` other than *u*."""
+        found = set(self.adjacent(u))
+        found.discard(u)
+        return found
 
     def partners(self, u: int) -> set[int]:
         """Pids of :meth:`neighbours`."""
@@ -1048,14 +1095,17 @@ class EngineCore:
         after a batch the true partition can only be finer than the
         labels. The certificate (:meth:`_relabel`'s spanning forest, kept
         up to date) proves it is not. The first connectivity query after
-        a batch or a mirrored step walks it (:meth:`_check_certificate`);
-        only a failed repair, a genuine split, pays a full O(V + distinct
-        pairs) :meth:`_relabel`. Admits extend the labels
-        (:meth:`_join_labels`), reaps, departure flips and belief faults
-        keep them, a planted message that joins two labels drops them
-        (:meth:`post`), and any other out-of-band mutation rebuilds the
-        whole core. Gone slots'
-        labels are stale: every query filters gone slots first.
+        a batch or a mirrored step walks the part of it that may have
+        died (:meth:`_check_certificate`); only a failed repair, a
+        genuine split, pays a full O(V + distinct pairs) :meth:`_relabel`.
+        Admits extend the labels (:meth:`_join_labels`), reaps,
+        departure flips and belief faults keep them, a planted message
+        that joins two labels drops them (:meth:`post`), and any other
+        out-of-band mutation rebuilds the whole core. A dropped labelling
+        is relabelled before anything reads it, so every labelling a
+        query sees comes from one relabel, named by
+        :meth:`partition_epoch`. Gone slots' labels are stale: every
+        query filters gone slots first.
         """
         if self._labels is None:
             self._full_relabel()
@@ -1068,87 +1118,144 @@ class EngineCore:
 
     def _full_relabel(self) -> None:
         self._labels, self._cert = self._relabel()
+        self._cert_at = None
         self._cert_pending = False
+        self._dirty.clear()
+        self._epoch = object()
         self._next_label = len(self._labels)
         self.label_relabels += 1
 
+    def partition_epoch(self) -> object:
+        """The epoch of the kept labelling, after checking it: a fresh
+        token at every full relabel, unequal to any other. Between
+        relabels no non-gone slot's label changes (admits only label
+        the newcomer), so the same epoch means every slot still non-gone
+        kept its label: components never merge, and a split relabels."""
+        self._component_labels()
+        return self._epoch
+
+    def _certificate_index(self) -> defaultdict[int, list[int]]:
+        """:attr:`_cert_at`, built from the relabel's pair list on the
+        first walk after it. Lists, not sets: a slot has a few pairs,
+        and a list holds them in a third of the memory."""
+        at = self._cert_at
+        if at is None:
+            at = self._cert_at = defaultdict(list)
+            for pair in self._cert:  # type: ignore[union-attr]
+                self._link(at, pair)
+            self._cert = None
+        return at
+
+    def dead_certificate_pairs(self) -> list[tuple[int, int]]:
+        """The certificate pairs that are not live now: none right after
+        a walk (the oracle verify mode holds each walk to)."""
+        at = self._cert_at
+        pairs = (
+            self._cert
+            if at is None
+            else [(a, b) for a, bs in at.items() for b in bs if a < b]
+        )
+        state_, in_ = self.state_, self.in_
+        return [
+            (a, b)
+            for a, b in pairs  # type: ignore[union-attr]
+            if state_[a] == _GONE
+            or state_[b] == _GONE
+            or (b not in in_[a] and a not in in_[b])
+        ]
+
     def _check_certificate(self) -> bool:
-        """Walk the certificate: keep every live pair and repair every
-        dead one; False when a repair fails, i.e. the partition may have
-        split.
+        """Walk the certificate pairs that may have died since the last
+        walk, cut out the dead ones and repair the cuts; False when a
+        repair fails, i.e. the partition may have split.
 
         A pair is live when both slots are non-gone and an ``in_`` entry
-        joins them either way. A dead pair between non-gone slots is
-        replaced by a live path between them (:meth:`_reconnect`). The
-        pairs at gone slots are cut out: the non-gone slots the gone
-        ones held together in the certificate are reconnected to the
-        first of them.
+        joins them either way. It can only die where an ``in_`` entry
+        is deleted or a slot goes gone, and both mark a slot of the pair
+        in :attr:`_dirty`: the entry's owner, or the departed slot. So
+        the walk reads only the pairs at the marked slots, from the
+        certificate index (:meth:`_certificate_index`). The marks are a
+        set of slots, so they never outgrow the slot count, and a walk
+        over them never costs more than one over every pair. A dead pair
+        between non-gone slots is replaced by a live path between them
+        (:meth:`_reconnect`). The pairs at gone slots are cut out: the
+        non-gone slots the gone ones held together in the certificate
+        are reconnected to the first of them.
         """
+        dirty = self._dirty
+        if not dirty:
+            return True
+        at = self._certificate_index()
         state_ = self.state_
         in_ = self.in_
-        kept: list[tuple[int, int]] = []
-        keep = kept.append
-        dead: list[tuple[int, int]] = []
-        at_gone: dict[int, list[int]] = {}
-        for pair in self._cert:
-            a, b = pair
-            if state_[a] != _GONE and state_[b] != _GONE:
-                if b in in_[a] or a in in_[b]:
-                    keep(pair)
-                else:
-                    dead.append(pair)
+        dead: set[tuple[int, int]] = set()
+        gone: list[int] = []
+        for a in dirty:
+            bs = at.get(a)
+            if not bs:
                 continue
             if state_[a] == _GONE:
-                at_gone.setdefault(a, []).append(b)
-            if state_[b] == _GONE:
-                at_gone.setdefault(b, []).append(a)
-        for a, b in dead:
-            if not self._reconnect(a, b, kept):
-                return False
-        seen: set[int] = set()
-        for g in at_gone:
-            if g in seen:
+                gone.append(a)
                 continue
-            # the certificate's neighbours of this cluster of gone slots
-            seen.add(g)
+            for b in bs:
+                # a gone b is marked too, and cut out from its side
+                if state_[b] != _GONE and b not in in_[a] and a not in in_[b]:
+                    dead.add((a, b) if a < b else (b, a))
+        dirty.clear()
+        for a, b in dead:
+            at[a].remove(b)
+            at[b].remove(a)
+            if not self._link(at, self._reconnect(a, b)):
+                return False
+        for g in gone:
+            if g not in at:
+                continue  # cut out with an earlier cluster
+            # the certificate's non-gone neighbours of this cluster of
+            # gone slots, which the cut leaves to reconnect
             todo = [g]
             ends: dict[int, None] = {}
             while todo:
-                for x in at_gone[todo.pop()]:
-                    if state_[x] != _GONE:
-                        ends[x] = None
-                    elif x not in seen:
-                        seen.add(x)
-                        todo.append(x)
+                x = todo.pop()
+                for y in at.pop(x, ()):
+                    if state_[y] != _GONE:
+                        at[y].remove(x)
+                        ends[y] = None
+                    elif y in at:
+                        todo.append(y)
             hub = next(iter(ends), -1)
             for x in ends:
-                if x != hub and not self._reconnect(hub, x, kept):
+                if x != hub and not self._link(at, self._reconnect(hub, x)):
                     return False
-        self._cert = kept
         return True
 
-    def _reconnect(self, a: int, b: int, cert: list[tuple[int, int]]) -> bool:
-        """Append to *cert* a live path between non-gone slots *a* and
-        *b*: their edge, else a surviving common neighbour, else a
-        bidirectional BFS over :meth:`neighbours`. False when none
+    @staticmethod
+    def _link(at: defaultdict[int, list[int]], path: Sequence[int] | None) -> bool:
+        """Add the pairs of *path* that it lacks to the certificate
+        index *at*; False when there is no path."""
+        if path is None:
+            return False
+        for a, b in zip(path, path[1:], strict=False):
+            if b not in at[a]:
+                at[a].append(b)
+                at[b].append(a)
+        return True
+
+    def _reconnect(self, a: int, b: int) -> list[int] | None:
+        """A live path between non-gone slots *a* and *b*, as a slot
+        list: their edge, else a surviving common neighbour, else a
+        bidirectional search over :meth:`adjacent`. None when none
         exists."""
         in_ = self.in_
         if b in in_[a] or a in in_[b]:
-            cert.append((a, b))
-            return True
+            return [a, b]
         self.label_repairs += 1
         na, nb = self.neighbours(a), self.neighbours(b)
         if len(nb) < len(na):
             na, nb = nb, na
         for c in na:
             if c in nb:
-                cert += ((a, c), (c, b))
-                return True
-        path = connecting_path(self.neighbours, a, b)
-        if path is None:
-            return False
-        cert += zip(path, path[1:])
-        return True
+                return [a, c, b]
+        return connecting_path(self.adjacent, a, b)
 
     def _join_labels(self, u: int) -> None:
         """Label admitted slot *u* with the component of its non-gone
@@ -1169,7 +1276,11 @@ class EngineCore:
             if any(labels[q] != label for q in nbrs):
                 self._labels = None
                 return
-            self._cert.append((u, c))
+            at = self._cert_at
+            if at is None:
+                self._cert.append((u, c))  # type: ignore[union-attr]
+            else:
+                self._link(at, (u, c))
         if u < len(labels):
             labels[u] = label
         else:
@@ -1242,6 +1353,49 @@ class EngineCore:
         """Messages pending across all channels (gone slots included)."""
         self._sync_flow()
         return self.pending
+
+    def backlog_horizon(self, limit: int) -> int:
+        """The largest k such that :meth:`pending_count` cannot exceed
+        *limit* after any of the next k steps (0 when it may after the
+        first).
+
+        The send bound: with every slot's ``|N| + 2·|parked|`` at most
+        D, one step adds at most D + 2 messages. A timeout sends one
+        message per stored reference, a parked one possibly to a gone
+        anchor, where the bounce puts two in its place, plus at most
+        two more; a delivery sends at most one, which may bounce. A
+        step grows one store by at most one entry, so D grows by at
+        most 1 (2 for FSP, whose parked entries count twice). After k
+        steps the backlog has grown by at most k·(D + 2) + g·k(k − 1)/2.
+        """
+        slack = limit - self.pending_count()
+        if slack < 0:
+            return 0
+        g = 2 if self.is_fsp else 1
+        first = self._store_bound(g) + 2
+        # largest k with g·k² + (2·first − g)·k ≤ 2·slack
+        b = 2 * first - g
+        k = (isqrt(b * b + 8 * g * slack) - b) // (2 * g)
+        while g * (k + 1) * (k + 1) + b * (k + 1) <= 2 * slack:
+            k += 1
+        return k
+
+    def _store_bound(self, growth: int) -> int:
+        """An upper bound on ``|N| + 2·|parked|`` over every slot: a scan
+        of the store sizes, which serves :data:`_STORE_RESCAN` steps
+        with *growth* per step added. Kernel steps and the out-of-band
+        writes that keep every reference (:meth:`post`,
+        :meth:`rewrite_belief`, :meth:`set_leaving`, reaps) grow no
+        store by more; :meth:`admit` fills a store, so it drops the
+        scan."""
+        scan = self._store_scan
+        steps = self.steps
+        if scan is None or steps - scan[1] > _STORE_RESCAN:
+            bound = max(map(len, self.N), default=0)
+            if self.is_fsp:
+                bound += 2 * max(map(len, self.parked), default=0)
+            self._store_scan = scan = (bound, steps)
+        return scan[0] + growth * (steps - scan[1])
 
     def _consult_oracle(self, u: int) -> bool:
         if self.is_fsp:
@@ -1542,6 +1696,7 @@ class EngineCore:
                 inn[u] = c
             else:
                 del inn[u]
+                self._dirty.add(subj)
             self.edge_total -= 1
             if (_STAYING if bel == _NONE else bel) != self.mode_[subj]:
                 self.phi -= 1
@@ -1705,6 +1860,7 @@ class EngineCore:
         ch = self.ch
         state_ = self.state_
         in_ = self.in_
+        mark = self._dirty.add
         mode_ = self.mode_
         deliveries_by = self.deliveries_by
         timeouts_by = self.timeouts_by
@@ -1758,6 +1914,7 @@ class EngineCore:
                             inn[u] = c
                         else:
                             del inn[u]
+                            mark(subj)
                         self.edge_total -= 1
                         if (_STAYING if bel == _NONE else bel) != mode_[subj]:
                             self.phi -= 1

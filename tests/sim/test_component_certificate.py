@@ -34,9 +34,11 @@ from repro.core.scenarios import (
     build_fsp_engine,
     choose_leaving,
 )
+from repro.errors import SafetyViolation, StateViolation
 from repro.graphs import generators as gen
 from repro.sim.engine import Engine
 from repro.sim.messages import RefInfo
+from repro.sim.monitors import ConnectivityMonitor
 from repro.sim.scheduler import RandomScheduler
 from repro.sim.states import Mode
 from repro.traffic import ArrivalConfig, RequestConfig, TrafficDriver
@@ -201,3 +203,188 @@ def test_kept_labels_equal_full_relabel_at_every_churn_boundary(run) -> None:
     assert core.label_checks >= 1
     if not bridges:
         assert report["stats"]["searchability_violations"] == 0
+
+
+# ---------------------------------------------------------------- targeted walk
+
+
+def _walked(engine: Engine, full: bool) -> dict[int, int]:
+    """The kept partition after a certificate walk; with *full* every
+    slot is marked first, so the walk reads every pair."""
+    core = engine._core
+    assert len(core._dirty) <= len(core.pids)  # one mark per slot at most
+    if full:
+        core._dirty.update(range(len(core.pids)))
+    partition = core.partition()
+    assert not core._dirty or not core._cert_pending
+    assert core.dead_certificate_pairs() == []
+    return partition
+
+
+def _apply(engine: Engine, op: tuple, rng: Random) -> None:
+    """One operation of :func:`test_targeted_walk_equals_full_walk`,
+    drawn from *rng* so that two engines on one trajectory apply the
+    same one."""
+    kind = op[0]
+    core = engine._core
+    alive = [
+        pid
+        for pid in sorted(engine._processes)
+        if core.state_of(core.slot_of[pid]).name != "GONE"
+    ]
+    if kind == "run":
+        engine.run(op[1])
+    elif kind == "post" and alive:
+        a, b = rng.choice(alive), rng.choice(alive)
+        engine.post(None, engine.ref(a), "present", (RefInfo(engine.ref(b), Mode.STAYING),))
+    elif kind == "rewrite" and alive:
+        pid = rng.choice(alive)
+        beliefs = engine.beliefs_of(pid)
+        if beliefs:
+            store, target, _ = rng.choice(beliefs)
+            engine.rewrite_beliefs(pid, [(store, target, rng.choice(list(Mode)))])
+    elif kind == "leave" and alive:
+        engine.request_leave(rng.choice(alive))
+    elif kind == "admit" and alive:
+        contact = rng.choice(alive)
+        pid = max(engine._processes) + 1 + len(engine._retired_pids)
+        engine.admit(
+            engine._processes[contact].__class__(
+                pid, Mode.STAYING, neighbors=[engine.ref(contact)]
+            )
+        )
+    elif kind == "reap":
+        gone = sorted(set(engine._processes) - set(alive))
+        engine.reap_gone(gone)
+
+
+OPS = st.one_of(
+    st.tuples(st.just("run"), st.integers(1, 80)),
+    st.sampled_from([("post",), ("rewrite",), ("leave",), ("admit",), ("reap",)]),
+)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    protocol=st.sampled_from(["fdp", "fsp"]),
+    n=st.integers(6, 24),
+    degree=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+    ops=st.lists(OPS, min_size=4, max_size=30),
+)
+def test_targeted_walk_equals_full_walk(protocol, n, degree, seed, ops) -> None:
+    """The walk over the marked slots keeps the partition a walk over
+    every pair keeps, on one trajectory of kernel batches, out-of-band
+    posts, belief rewrites, departures, admits and reaps; after either
+    walk every kept pair is live, and the marks hold at most one entry
+    per slot."""
+    edges = gen.random_connected(n, degree, seed=seed)
+    build = build_fsp_engine if protocol == "fsp" else build_fdp_engine
+    engines = [
+        build(
+            n,
+            edges,
+            choose_leaving(n, edges, fraction=0.3, seed=seed),
+            seed=seed,
+            engine_mode="soa",
+        )
+        for _ in range(2)
+    ]
+    rngs = [Random(seed), Random(seed)]
+    for engine in engines:
+        engine.attach()
+        assert engine._core is not None, engine.core_status
+    for op in ops:
+        for engine, rng in zip(engines, rngs, strict=True):
+            _apply(engine, op, rng)
+        targeted, full = (
+            _walked(e, full) for e, full in zip(engines, (False, True), strict=True)
+        )
+        assert targeted == full == engines[0]._core.partition(fresh=True)
+    assert engines[0].step_count == engines[1].step_count
+
+
+def test_verify_mode_rejects_a_dead_pair_after_a_walk() -> None:
+    """Right after a walk every certificate pair must be live: verify
+    mode's connectivity queries reject a certificate that keeps one
+    that is not, even though the labels are still right."""
+    n = 24
+    engine = build_fdp_engine(
+        n, gen.random_connected(n, 2, seed=4), set(), seed=4, engine_mode="verify"
+    )
+    engine.run(50)
+    assert engine.same_component(tuple(range(n)))
+    core = engine._core
+    a, b = next(
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if b not in core.in_[a] and a not in core.in_[b]
+    )
+    core._cert_at[a].append(b)
+    core._cert_at[b].append(a)
+    with pytest.raises(StateViolation, match="dead certificate pairs"):
+        engine.same_component((a, b))
+
+
+def test_verify_mode_rejects_labels_moved_under_one_epoch() -> None:
+    """A repeated partition epoch promises that no non-gone process
+    changed label: verify mode rejects a labelling renamed behind the
+    epoch's back, though it still gives the right partition."""
+    n = 12
+    engine = build_fdp_engine(
+        n, gen.random_connected(n, 2, seed=5), set(), seed=5, engine_mode="verify"
+    )
+    engine.run(20)
+    epoch = engine.partition_epoch()
+    assert epoch is not None and engine.partition_epoch() is epoch
+    labels = engine._core._labels
+    labels[:] = [label + len(labels) for label in labels]
+    with pytest.raises(StateViolation, match="partition epoch"):
+        engine.partition_epoch()
+
+
+def _count_member_checks(engine: Engine) -> list[int]:
+    """The steps at which something asks *engine* for its relevant
+    pids, which only Lemma 2's member check does here."""
+    asked: list[int] = []
+    relevant = engine.relevant_pids
+
+    def counting_relevant() -> frozenset[int]:
+        asked.append(engine.step_count)
+        return relevant()
+
+    engine.relevant_pids = counting_relevant
+    return asked
+
+
+def test_split_draws_a_new_epoch_and_a_full_lemma2_check() -> None:
+    """Lemma 2 checks pass on the epoch alone until the genuine split of
+    :func:`split_engine`, whose relabel draws a new epoch: the monitor
+    then runs its member check, which reports the split at the step the
+    object loop reports it."""
+    steps = {}
+    for mode in ("objects", "soa"):
+        engine = split_engine(mode)
+        lemma2 = ConnectivityMonitor(check_every=1)
+        engine.monitors.append(lemma2)
+        engine.attach()
+        epochs = [engine.partition_epoch()]
+        member_checks = _count_member_checks(engine)
+        with pytest.raises(SafetyViolation):
+            engine.run(400)
+        steps[mode] = engine.step_count
+        if mode == "soa":
+            epochs.append(engine.partition_epoch())
+            assert epochs[0] is not None and epochs[1] is not epochs[0]
+            # the first check, then the one the split forced
+            assert member_checks == [1, engine.step_count]
+            assert lemma2.checks == engine.step_count
+        else:
+            assert epochs == [None]
+            assert len(member_checks) == engine.step_count
+    assert steps["objects"] == steps["soa"]

@@ -7,8 +7,10 @@ recycled slot's generation, overlaps two packed-record fields,
 dispatches deliveries to a misspelt kernel, loses a send from the
 scheduler pool, drops a progress mark, labels components without one
 of its in-edges, trusts a dead pair of its component certificate,
-groups the engine's component labels by slot instead of by root, or
-walks a slot's neighbours without its channel subjects —
+leaves out of a targeted certificate walk the pairs at a slot marked
+for losing an edge, groups the engine's component labels by slot
+instead of by root, or walks a slot's neighbours without its channel
+subjects —
 swaps the mutated ``EngineCore`` in, and asserts that the named oracle
 rejects it:
 
@@ -19,9 +21,11 @@ rejects it:
   marks included. Its predicate asks the engine's query facade for Φ, partners,
   hop distances, connectivity and the legitimacy clauses every 13
   steps, and verify mode cross-checks each answer against the core's,
-  and the core's kept component labels against a full relabel, so a
-  bug in a core query (the component labelling skipping an ``in_``
-  pair, the neighbour walk skipping channel subjects) trips it too. A
+  the core's kept component labels against a full relabel, and, right
+  after each certificate walk, every certificate pair for liveness, so
+  a bug in a core query (the component labelling skipping an ``in_``
+  pair, the neighbour walk skipping channel subjects, a walk that
+  leaves a dead pair in) trips it too. A
   last run splits a component for real
   (``tests/sim/test_component_certificate.py``), which a certificate
   that trusts a dead pair misses;
@@ -105,8 +109,8 @@ MUTATIONS = [
     ),
     (
         "certificate_trusts_dead_pair",
-        "                if b in in_[a] or a in in_[b]:\n                    keep(pair)\n",
-        "                if True:\n                    keep(pair)\n",
+        "if state_[b] != _GONE and b not in in_[a] and a not in in_[b]:",
+        "if False:",
         "verify",
     ),
     (
@@ -118,8 +122,16 @@ MUTATIONS = [
     (
         "neighbour_walk_skips_channel_subjects",
         "        for rec in self.ch[u].values():\n"
-        "            slots.add(((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1)\n",
+        "            q = ((rec >> _SUBJ_SHIFT) & _SUBJ_MASK) - 1\n"
+        "            if q >= 0 and state_[q] != _GONE:\n"
+        "                yield q\n",
         "",
+        "verify",
+    ),
+    (
+        "targeted_walk_ignores_marked_pair",
+        "        for a in dirty:\n",
+        "        for a in list(dirty)[1:]:\n",
         "verify",
     ),
     (
