@@ -132,6 +132,10 @@ class Watchdog:
     ``raise_on_trip=True`` — raises :class:`~repro.errors.WatchdogTrip`
     to abort the run. With ``raise_on_trip=False`` it latches silently
     (soak batteries count trips without dying on the first).
+
+    A watchdog watches the engine of its last call: called by another
+    engine, it restarts its window (:meth:`rebase`) before looking, so
+    no window spans two engines.
     """
 
     kind = "watchdog"
@@ -143,6 +147,8 @@ class Watchdog:
         self.raise_on_trip = bool(raise_on_trip)
         self.tripped: StallDiagnosis | None = None
         self._checks = 0
+        #: the engine of the last call: the one this watchdog follows
+        self._engine: Engine | None = None
 
     @property
     def checks(self) -> int:
@@ -151,6 +157,10 @@ class Watchdog:
         return self._checks
 
     def __call__(self, engine: Engine, executed: ExecutedStep | None) -> None:
+        if engine is not self._engine:
+            if self._engine is not None:
+                self.rebase(engine)
+            self._engine = engine
         if engine.step_count % self.check_every != 0:
             return
         if self.tripped is not None:
@@ -435,8 +445,9 @@ class BacklogWatchdog(Watchdog):
     cannot bound its sends gets every multiple.
 
     It watches one engine at a time, the one of its last call: called
-    by another, it starts following that one, and it derives wakeups
-    only when asked at the step count of the engine it follows. Each
+    by another, it starts following that one with a new window, and it
+    derives wakeups only when asked at the step count of the engine it
+    follows (the engine's horizon bounds its sends). Each
     call settles the count, so taken off after one it counts no
     further multiples.
     """
@@ -455,9 +466,6 @@ class BacklogWatchdog(Watchdog):
             raise ConfigurationError("max_pending must be >= 1")
         self.max_pending = int(max_pending)
         self._floor: tuple[int, int] | None = None  # (step, pending) at window open
-        #: the engine of the last call: the one this watchdog follows,
-        #: whose horizon it derives its wakeup from
-        self._engine: Engine | None = None
         #: the step count of the last ask by that engine whose core
         #: batch no call has settled yet: the multiples after it were
         #: passed without one
@@ -491,7 +499,6 @@ class BacklogWatchdog(Watchdog):
     def __call__(self, engine: Engine, executed: ExecutedStep | None) -> None:
         if self._asked is not None:
             self._settle()  # on the engine it followed until now
-        self._engine = engine
         super().__call__(engine, executed)
 
     def next_wakeup(self, step: int) -> int | None:

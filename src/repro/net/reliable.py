@@ -42,11 +42,11 @@ from random import Random
 from typing import TYPE_CHECKING, Any
 
 from repro.net.underlay import Underlay, UnderlayConfig
+from repro.sim.soa import _GONE
 from repro.sim.states import PState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
-    from repro.sim.messages import Message
 
 __all__ = [
     "NetStats",
@@ -164,13 +164,28 @@ class _Rx:
         return True
 
 
+#: a directed channel ``src -> dst`` is the int ``src << _SRC_SHIFT | dst``.
+_SRC_SHIFT = 32
+_DST_MASK = (1 << _SRC_SHIFT) - 1
+
+
 class ReliableTransport:
     """Ack/retransmit transport; installed as ``engine.net``.
 
-    The engine calls :meth:`on_post` instead of ``notify_send`` for
-    protocol posts, :meth:`flush` at every step boundary,
-    :meth:`on_gone` when a process departs, and :meth:`run_dry` when
-    the scheduler starves. Everything else is internal.
+    The engine (or the struct-of-arrays core, while it drives a run)
+    calls :meth:`on_post` instead of ``notify_send`` for protocol posts,
+    :meth:`flush` at every step boundary, :meth:`on_gone` when a process
+    departs, and :meth:`run_dry` when the scheduler starves. Everything
+    else is internal.
+
+    A retransmit timer enters the event heap at its jitter's lower
+    bound, under the event id the exact due will have: its jitter (one
+    seeded draw) is drawn only when the timer reaches that bound with
+    its flight still open, or when a starvation fast-forward must order
+    it. Most flights are acked long before, and their timers expire
+    without a draw; the events fire in the same ``(due, id)`` order as
+    if every due had been drawn at the push (docs/PERF.md "Transport on
+    the core").
     """
 
     def __init__(
@@ -192,18 +207,33 @@ class ReliableTransport:
         self.stats = NetStats()
         self.journal: deque[dict] = deque(maxlen=journal_cap)
         self.engine: Engine | None = None
+        #: the engine's struct-of-arrays core while it drives a run
+        #: (``EngineCore.drive``): the state to read instead of objects.
+        self.core: Any = None
         self._now = 0
         self._eid = 0
         self._ack_id = 0
-        # event heap: (due, eid, kind, src, dst, payload)
-        #   kind "d": data-frame arrival, payload = tseq
-        #   kind "a": ack arrival at src,  payload = cumulative floor
-        #   kind "r": retransmit timer,    payload = tseq
-        self._events: list[tuple[int, int, str, int, int, int]] = []
-        self._next_tseq: dict[tuple[int, int], int] = {}
-        self._flights: dict[tuple[int, int], dict[int, _Flight]] = {}
-        self._by_mseq: dict[int, tuple[int, int, int]] = {}
-        self._rx: dict[tuple[int, int], _Rx] = {}
+        self._rng = Random()
+        # event heap, ordered by (due, eid); chan = src << 32 | dst:
+        #   (due, eid, "d", chan, tseq)   data-frame arrival at dst
+        #   (due, eid, "a", chan, floor)  ack arrival at src
+        #   (low, eid, "t", chan, tseq, attempt, sent)
+        #       retransmit timer at its lower bound; due not drawn yet
+        #   (due, eid, "r", chan, tseq, attempt, sent)
+        #       retransmit timer at its drawn due
+        self._events: list[tuple] = []
+        #: timers whose flight closed before their lower bound, while
+        #: their due may still lie ahead: (upper bound, eid, chan, tseq,
+        #: attempt, sent). A fast-forward draws their dues (it counts
+        #: them as events); past the upper bound they are forgotten.
+        self._expired: list[tuple[int, int, int, int, int, int]] = []
+        #: attempt -> the (least, greatest) timeout any draw gives it
+        self._bounds: dict[int, tuple[int, int]] = {}
+        self._next_tseq: dict[int, int] = {}
+        self._flights: dict[int, dict[int, _Flight]] = {}
+        #: dst -> the channels into it, in order of their first frame
+        self._into: dict[int, list[int]] = {}
+        self._rx: dict[int, _Rx] = {}
 
     # ------------------------------------------------------------ config i/o
 
@@ -228,12 +258,6 @@ class ReliableTransport:
         engine.net = self
         engine.net_stats = self.stats
         self.engine = engine
-        if getattr(engine, "_core", None) is not None:
-            # A struct-of-arrays mirror built before the transport was
-            # installed would batch-step around the flush hooks; force a
-            # rebuild, which now refuses (CoreUnsupported) and drops the
-            # run onto the object loop.
-            engine._core_stale = True  # noqa: SLF001 - engine collaborator
         return self
 
     # ------------------------------------------------------------- internals
@@ -244,18 +268,52 @@ class ReliableTransport:
              "tseq": tseq, "attempt": attempt}
         )
 
-    def _push(self, due: int, kind: str, src: int, dst: int, payload: int) -> None:
-        self._eid += 1
-        heapq.heappush(self._events, (due, self._eid, kind, src, dst, payload))
+    def _base(self, attempt: int) -> float:
+        """The un-jittered timeout of *attempt*: exponential, capped."""
+        try:
+            grown = self.rto * self.backoff ** (attempt - 1)
+        except OverflowError:  # past the float range, hence past the cap
+            return self.max_rto
+        return min(grown, self.max_rto)
 
     def _rto_after(self, src: int, dst: int, tseq: int, attempt: int) -> int:
-        base = min(self.rto * self.backoff ** (attempt - 1), self.max_rto)
-        seed = self.underlay.config.seed
-        rng = Random(f"{seed}:rto:{src}:{dst}:{tseq}:{attempt}")
+        base = self._base(attempt)
+        rng = self._rng
+        rng.seed(f"{self.underlay.config.seed}:rto:{src}:{dst}:{tseq}:{attempt}")
         factor = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return max(1, int(base * factor))
 
-    def _transmit(self, src: int, dst: int, tseq: int, attempt: int) -> None:
+    def _rto_bounds(self, attempt: int) -> tuple[int, int]:
+        """The least and the greatest :meth:`_rto_after` of *attempt*
+        over every jitter draw: the jitter factor lies in ``[1 - |j|,
+        1 + |j|]``, and every operation after the draw is monotone."""
+        bounds = self._bounds.get(attempt)
+        if bounds is None:
+            base = self._base(attempt)
+            spread = abs(self.jitter)
+            bounds = self._bounds[attempt] = (
+                max(1, int(base * (1.0 - spread))),
+                max(1, int(base * (1.0 + spread))),
+            )
+        return bounds
+
+    def _arm(self, chan: int, tseq: int, attempt: int) -> None:
+        """Push the retransmit timer of *attempt* at its lower bound."""
+        self._eid += 1
+        now = self._now
+        heapq.heappush(
+            self._events,
+            (now + self._rto_bounds(attempt)[0], self._eid, "t",
+             chan, tseq, attempt, now),
+        )
+
+    def _drawn(self, timer: tuple) -> tuple:
+        """A lower-bound timer re-keyed at its drawn due."""
+        _low, eid, _kind, chan, tseq, attempt, sent = timer
+        due = sent + self._rto_after(chan >> _SRC_SHIFT, chan & _DST_MASK, tseq, attempt)
+        return (due, eid, "r", chan, tseq, attempt, sent)
+
+    def _transmit(self, chan: int, src: int, dst: int, tseq: int, attempt: int) -> None:
         """Roll the fate of one data-frame attempt, schedule arrivals."""
         fate = self.underlay.fate(src, dst, f"d:{tseq}:{attempt}", self._now)
         if fate.blocked or fate.dropped:
@@ -268,125 +326,160 @@ class ReliableTransport:
         if fate.delayed:
             self.stats.delayed += 1
             self._log("delay", src, dst, tseq, attempt)
+        events = self._events
+        now = self._now
         for offset in fate.arrivals:
-            self._push(self._now + offset, "d", src, dst, tseq)
+            self._eid += 1
+            heapq.heappush(events, (now + offset, self._eid, "d", chan, tseq))
 
-    def _send_ack(self, src: int, dst: int, tseq: int) -> None:
+    def _send_ack(self, chan: int, src: int, dst: int, tseq: int, floor: int) -> None:
         """Ack travels dst -> src; lossy like any other frame."""
-        rx = self._rx[(src, dst)]
         self.stats.acks += 1
         self._ack_id += 1
         fate = self.underlay.fate(dst, src, f"a:{self._ack_id}", self._now)
         if fate.blocked or fate.dropped:
             self._log("ack_drop", src, dst, tseq, 0)
             return
+        events = self._events
+        now = self._now
         for offset in fate.arrivals:
-            self._push(self._now + offset, "a", src, dst, rx.floor)
+            self._eid += 1
+            heapq.heappush(events, (now + offset, self._eid, "a", chan, floor))
+
+    def _gone(self, pid: int) -> bool:
+        """Whether *pid* departed (or was reaped, or is unknown)."""
+        core = self.core
+        if core is not None:
+            u = core.slot_of.get(pid)
+            return u is None or core.state_[u] == _GONE
+        engine = self.engine
+        proc = engine.processes.get(pid) if engine is not None else None
+        return proc is None or proc.state is PState.GONE
 
     def _announce(self, dst: int, mseq: int) -> bool:
         """Tell the scheduler the message became deliverable."""
         engine = self.engine
-        if engine is None:
+        if engine is None or self._gone(dst):
             return False
-        proc = engine.processes.get(dst)
-        if proc is None or proc.state is PState.GONE:
-            return False
-        if mseq not in engine.channels[dst]:
+        core = self.core
+        channel = engine.channels[dst] if core is None else core.ch[core.slot_of[dst]]
+        if mseq not in channel:
             return False
         engine.scheduler.notify_send(dst, mseq)
         return True
 
     # --------------------------------------------------------- event firing
 
-    def _fire(self, event: tuple[int, int, str, int, int, int]) -> bool:
+    def _fire(self, event: tuple) -> bool:
         """Process one due event; True when a message was announced."""
-        _due, _eid, kind, src, dst, payload = event
-        chan = (src, dst)
-        if kind == "r":
-            flights = self._flights.get(chan)
-            flight = flights.get(payload) if flights else None
-            if flight is None:
-                return False  # acked or cancelled in the meantime
-            engine = self.engine
-            proc = engine.processes.get(dst) if engine is not None else None
-            if proc is None or proc.state is PState.GONE:
-                del flights[payload]
-                self._by_mseq.pop(flight.mseq, None)
-                self.stats.cancelled_gone += 1
-                self._log("cancel", src, dst, payload, flight.attempts)
+        kind = event[2]
+        chan = event[3]
+        if kind == "d":  # a data frame reaches dst
+            tseq = event[4]
+            rx = self._rx.get(chan)
+            if rx is None:
+                rx = self._rx[chan] = _Rx()
+            src = chan >> _SRC_SHIFT
+            dst = chan & _DST_MASK
+            fresh = rx.admit(tseq)
+            if fresh:
+                self.stats.delivered += 1
+            else:
+                self.stats.deduped += 1
+                self._log("dedup", src, dst, tseq, 0)
+            self._send_ack(chan, src, dst, tseq, rx.floor)
+            if not fresh:
                 return False
-            flight.attempts += 1
-            self.stats.retransmits += 1
-            self._log("rtx", src, dst, payload, flight.attempts)
-            self._transmit(src, dst, payload, flight.attempts)
-            self._push(
-                self._now + self._rto_after(src, dst, payload, flight.attempts),
-                "r", src, dst, payload,
-            )
+            flight = self._flights[chan].get(tseq)
+            if flight is not None and not flight.announced:
+                flight.announced = True
+                return self._announce(dst, flight.mseq)
             return False
-        if kind == "a":
-            flights = self._flights.get(chan)
-            if not flights:
-                return False
-            for tseq in [t for t in flights if t <= payload]:
-                flight = flights.pop(tseq)
-                self._by_mseq.pop(flight.mseq, None)
+        flights = self._flights[chan]
+        if kind == "a":  # cumulative ack: the flights are in tseq order
+            floor = event[4]
+            acked = []
+            for tseq in flights:
+                if tseq > floor:
+                    break
+                acked.append(tseq)
+            for tseq in acked:
+                del flights[tseq]
             return False
-        # kind == "d": data frame reaches dst
-        rx = self._rx.setdefault(chan, _Rx())
-        flights = self._flights.get(chan)
-        flight = flights.get(payload) if flights else None
-        if not rx.admit(payload):
-            self.stats.deduped += 1
-            self._log("dedup", src, dst, payload, 0)
-            self._send_ack(src, dst, payload)
+        tseq = event[4]
+        flight = flights.get(tseq)
+        if kind == "t":  # a timer at its lower bound
+            if flight is not None:
+                heapq.heappush(self._events, self._drawn(event))
+            else:
+                upper = event[6] + self._rto_bounds(event[5])[1]
+                if upper > self._now:
+                    _low, eid, _kind, chan, tseq, attempt, sent = event
+                    heapq.heappush(self._expired, (upper, eid, chan, tseq, attempt, sent))
             return False
-        self.stats.delivered += 1
-        self._send_ack(src, dst, payload)
-        if flight is not None and not flight.announced:
-            flight.announced = True
-            return self._announce(dst, flight.mseq)
+        # kind == "r": a timer at its drawn due
+        if flight is None:
+            return False  # acked or cancelled in the meantime
+        src = chan >> _SRC_SHIFT
+        dst = chan & _DST_MASK
+        if self._gone(dst):
+            del flights[tseq]
+            self.stats.cancelled_gone += 1
+            self._log("cancel", src, dst, tseq, flight.attempts)
+            return False
+        flight.attempts += 1
+        self.stats.retransmits += 1
+        self._log("rtx", src, dst, tseq, flight.attempts)
+        self._transmit(chan, src, dst, tseq, flight.attempts)
+        self._arm(chan, tseq, flight.attempts)
         return False
 
     # ------------------------------------------------------------ engine API
 
-    def on_post(self, sender: int, dst: int, msg: Message) -> None:
-        """Protocol post ``sender -> dst``: open a flight for the frame."""
-        chan = (sender, dst)
-        tseq = self._next_tseq.get(chan, 0)
+    def on_post(self, sender: int, dst: int, mseq: int) -> None:
+        """Protocol post ``sender -> dst`` of the message with seq
+        *mseq*: open a flight for its frame."""
+        chan = sender << _SRC_SHIFT | dst
+        tseq = self._next_tseq.get(chan)
+        if tseq is None:
+            tseq = 0
+            self._flights[chan] = {}
+            into = self._into.get(dst)
+            if into is None:
+                self._into[dst] = [chan]
+            else:
+                into.append(chan)
         self._next_tseq[chan] = tseq + 1
-        flight = _Flight(msg.seq)
-        self._flights.setdefault(chan, {})[tseq] = flight
-        self._by_mseq[msg.seq] = (sender, dst, tseq)
+        self._flights[chan][tseq] = _Flight(mseq)
         self.stats.sends += 1
-        self._transmit(sender, dst, tseq, 1)
-        self._push(
-            self._now + self._rto_after(sender, dst, tseq, 1), "r", sender, dst, tseq
-        )
+        self._transmit(chan, sender, dst, tseq, 1)
+        self._arm(chan, tseq, 1)
 
     def flush(self, step: int) -> None:
         """Advance the clock to ``step`` and fire every due event."""
         if step > self._now:
             self._now = step
+        now = self._now
         events = self._events
-        while events and events[0][0] <= self._now:
-            self._fire(heapq.heappop(events))
+        fire = self._fire
+        while events and events[0][0] <= now:
+            fire(heapq.heappop(events))
+        expired = self._expired
+        while expired and expired[0][0] <= now:
+            heapq.heappop(expired)  # its due passed in the flushes so far
 
     def on_gone(self, pid: int) -> None:
         """Cancel in-flight frames to a departed process."""
-        for (src, dst), flights in self._flights.items():
-            if dst != pid or not flights:
+        flights_of = self._flights
+        for chan in self._into.get(pid, ()):
+            flights = flights_of[chan]
+            if not flights:
                 continue
-            for tseq, flight in list(flights.items()):
-                del flights[tseq]
-                self._by_mseq.pop(flight.mseq, None)
+            src = chan >> _SRC_SHIFT
+            for tseq, flight in flights.items():
                 self.stats.cancelled_gone += 1
-                self._log("cancel", src, dst, tseq, flight.attempts)
-
-    @property
-    def busy(self) -> bool:
-        """True while any transport event is still scheduled."""
-        return bool(self._events)
+                self._log("cancel", src, pid, tseq, flight.attempts)
+            flights.clear()
 
     def run_dry(self) -> bool:
         """Fast-forward to due transport events while the scheduler starves.
@@ -397,11 +490,30 @@ class ReliableTransport:
         the heap drains, or the safety cap trips (permanently-lossy
         configurations would otherwise spin the retransmit timer).
         Returns True when at least one message was announced.
+
+        The order needs every timer at its drawn due: a timer still at
+        its lower bound is re-keyed when it reaches the top, and the
+        expired timers whose due lies ahead go back on the heap, so a
+        timer that finds its flight closed still advances the clock and
+        counts towards the cap.
         """
         events = self._events
-        for _ in range(_RUN_DRY_LIMIT):
+        expired = self._expired
+        if expired:
+            now = self._now
+            for upper, eid, chan, tseq, attempt, sent in expired:
+                timer = self._drawn((upper, eid, "t", chan, tseq, attempt, sent))
+                if timer[0] > now:
+                    heapq.heappush(events, timer)
+            expired.clear()
+        popped = 0
+        while popped < _RUN_DRY_LIMIT:
             if not events:
                 return False
+            if events[0][2] == "t":
+                heapq.heapreplace(events, self._drawn(events[0]))
+                continue
+            popped += 1
             due = events[0][0]
             if due > self._now:
                 self._now = due

@@ -85,6 +85,12 @@ class Fate:
     delayed: bool = False
 
 
+#: the fates that need no allocation: blocked, lost, and one prompt copy.
+_BLOCKED = Fate(blocked=True)
+_DROPPED = Fate(dropped=True)
+_PROMPT = Fate(arrivals=(0,))
+
+
 @dataclass
 class _Burst:
     kind: str
@@ -113,6 +119,12 @@ class Underlay:
 
     def __post_init__(self) -> None:
         self._side_cache: dict[int, int] = {}
+        #: reseeded for every attempt: ``seed(key)`` then draws exactly
+        #: what a fresh ``Random(key)`` would, without the allocation.
+        self._rng = Random()
+        #: (config, loss, dup, delay): the clamped base rates of the
+        #: config they were read from, for the burst-free fast path
+        self._rates: tuple = (None,)
 
     # ------------------------------------------------------------- partitions
 
@@ -159,13 +171,55 @@ class Underlay:
         for acks); the step only enters through the partition window
         and the burst-adjusted rates, so a replayed attempt with the
         same identity at the same step draws the same fate.
+
+        Without bursts the rates are the configured ones at every step,
+        and the draws below are those of the general path
+        (:meth:`_burst_fate`) in the same order: loss, the first
+        arrival's delay, duplication, the copy's delay.
         """
-        if self.blocks(src, dst, step):
-            return Fate(blocked=True)
+        if self.bursts:
+            return self._burst_fate(src, dst, key, step)
         cfg = self.config
-        rng = Random(f"{cfg.seed}:{src}>{dst}:{key}")
+        at = cfg.partition_at
+        if (
+            at is not None
+            and at <= step < at + cfg.partition_for
+            and self.side(src) != self.side(dst)
+        ):
+            return _BLOCKED
+        rates = self._rates
+        if rates[0] is not cfg:
+            rates = self._rates = (
+                cfg, min(1.0, cfg.loss), min(1.0, cfg.dup), min(1.0, cfg.delay)
+            )
+        _cfg, loss, dup, delay = rates
+        rng = self._rng
+        rng.seed(f"{cfg.seed}:{src}>{dst}:{key}")
+        random = rng.random
+        if random() < loss:
+            return _DROPPED
+        late = random() < delay
+        first = rng.randint(cfg.delay_min, cfg.delay_max) if late else 0
+        if random() < dup:
+            if random() < delay:
+                extra = rng.randint(cfg.delay_min, cfg.delay_max)
+                late = True
+            else:
+                extra = 0
+            return Fate(arrivals=(first, extra), duplicated=True, delayed=late)
+        if late:
+            return Fate(arrivals=(first,), delayed=True)
+        return _PROMPT
+
+    def _burst_fate(self, src: int, dst: int, key: str, step: int) -> Fate:
+        """:meth:`fate` with the bursts active at *step* added in."""
+        if self.blocks(src, dst, step):
+            return _BLOCKED
+        cfg = self.config
+        rng = self._rng
+        rng.seed(f"{cfg.seed}:{src}>{dst}:{key}")
         if rng.random() < self._rate("loss", cfg.loss, step):
-            return Fate(dropped=True)
+            return _DROPPED
         first, late = self._offset(rng, step)
         arrivals = [first]
         duplicated = rng.random() < self._rate("dup", cfg.dup, step)

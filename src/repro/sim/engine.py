@@ -115,6 +115,11 @@ Oracle = Callable[["Engine", int], bool]
 #: the log's memory.
 TRACE_BATCH_CAP = 4096
 
+#: how many times a step whose scheduler starves lets the reliable
+#: transport fast-forward (``ReliableTransport.run_dry``) before the
+#: run counts as quiescent; the core's batches keep the same bound.
+_DRY_TRIES = 32
+
 
 def _check_pid(pid: int) -> None:
     if not 0 <= pid < 1 << PID_BITS:
@@ -871,7 +876,7 @@ class Engine:
                 # is already parked in the channel (refs conserved); the
                 # transport decides when the scheduler learns it is
                 # deliverable. Out-of-band posts keep perfect channels.
-                self.net.on_post(sender, tpid, msg)
+                self.net.on_post(sender, tpid, msg.seq)
             else:
                 self.scheduler.notify_send(tpid, msg.seq)
         return msg
@@ -1392,7 +1397,7 @@ class Engine:
             # so the run cannot falsely quiesce. Bounded retries — with
             # a permanently lossy underlay run_dry gives up and the run
             # ends non-converged, which the chaos outcome classifies.
-            for _ in range(32):
+            for _ in range(_DRY_TRIES):
                 if not net.run_dry():
                     break
                 event = self.scheduler.select(self)
@@ -1626,7 +1631,7 @@ class Engine:
         tracer = self.tracer if driven is not None else None
         monitors = self.monitors if driven is not None else ()
         if driven is not None:
-            driven.drive(self.scheduler, log_steps=tracer is not None)
+            driven.drive(self.scheduler, log_steps=tracer is not None, net=self.net)
         try:
             i = 0
             while True:
@@ -1652,8 +1657,10 @@ class Engine:
                     batch = min(check_every - i % check_every, max_steps - i)
                 if core is not None and (self._core is not core or self._core_stale):
                     # The predicate poked engine state (which completed
-                    # the export first); the core no longer mirrors it.
+                    # the export first); the core no longer mirrors it,
+                    # and a transport must read the objects again.
                     core = None
+                    driven.drive(None)
                 if core is not None:
                     if tracer is not None:
                         batch = self._trace_batch(tracer, batch)

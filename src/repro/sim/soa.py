@@ -96,7 +96,7 @@ from repro.errors import (
     UnknownActionError,
 )
 from repro.graphs.connectivity import connecting_path, first_member_labels
-from repro.sim.engine import _TALLY_FIELDS
+from repro.sim.engine import _DRY_TRIES, _TALLY_FIELDS
 from repro.sim.messages import Message, RefInfo
 from repro.sim.refs import REF_GEN_BITS, REF_SLOT_BITS
 from repro.sim.replay import ReplayScheduler
@@ -310,6 +310,7 @@ class EngineCore:
         "last_phi_seen",
         "last_acted",
         "sched",
+        "net",
         "_pool",
         "_pos",
         "step_log",
@@ -331,10 +332,6 @@ class EngineCore:
         from repro.core.fsp import FSPProcess
         from repro.core.oracles import AlwaysOracle, NeverOracle, SingleOracle
 
-        if getattr(engine, "net", None) is not None:
-            raise CoreUnsupported(
-                "reliable transport attached; net runs on the object loop"
-            )
         procs = list(engine.processes.values())
         if not procs:
             raise CoreUnsupported("empty population")
@@ -445,6 +442,11 @@ class EngineCore:
         #: packed-int pool and position index when it is exactly a
         #: :class:`RandomScheduler`, whose sends the kernels append inline.
         self.sched: Scheduler | None = None
+        #: the engine's reliable transport while the core drives a run
+        #: over it (:meth:`drive`): protocol sends open its flights
+        #: instead of notifying the scheduler, and every step starts
+        #: with its flush.
+        self.net: Any = None
         self._pool: list[int] | None = None
         self._pos: dict[int, int] | None = None
         #: the steps of the current batch while the engine has a tracer
@@ -640,7 +642,12 @@ class EngineCore:
         if (_STAYING if bel == _NONE else bel) != self.mode_[subj]:
             self.phi += 1
         pool = self._pool
-        if pool is not None:
+        net = self.net
+        if net is not None:
+            # Engine.post over a transport: the message is in the channel
+            # and the transport announces it when a frame arrives.
+            net.on_post(self.pids[src], self.pids[dst], seq)
+        elif pool is not None:
             # RandomScheduler.notify_send, inlined. A freshly allocated
             # seq can never already be pooled, so the dedup is elided.
             entry = ((seq + 1) << PID_BITS) | self.pids[dst]
@@ -701,6 +708,9 @@ class EngineCore:
             self._dirty.add(u)  # every certificate pair at u died
             if sched is not None:
                 sched.notify_gone(self.pids[u], list(self.ch[u]))
+            net = self.net
+            if net is not None:
+                net.on_gone(self.pids[u])
             self._out_edges(u, -1)
             # The purged references stay physically present in the gone
             # slot's stores and channel — convert them to dead pins so
@@ -1499,7 +1509,7 @@ class EngineCore:
             drops = None
             nd = self.N[u]
             pool = self._pool
-            if pool is None:
+            if pool is None or self.net is not None:
                 for v, bel in nd.items():
                     if bel == _LEAVING:  # lines 20-21
                         if drops is None:
@@ -1508,7 +1518,8 @@ class EngineCore:
                             drops.append(v)
                     self._send(u, v, 0, u, mode)  # line 22
             elif nd:
-                # line 22 bulk-specialized for the RandomScheduler pool:
+                # line 22 bulk-specialized for the RandomScheduler pool
+                # (without a transport, whose flights take _send):
                 # sender and subject are both u, the belief is u's own
                 # mode (staying), so the packed record is loop-constant
                 # and Φ can never move (the enqueue edge always agrees
@@ -1752,17 +1763,26 @@ class EngineCore:
 
     # ------------------------------------------------------------------ driving (soa)
 
-    def drive(self, sched: Scheduler | None, *, log_steps: bool = False) -> None:
-        """Hand the core the engine's scheduler for batched runs; ``None``
-        takes it back.
+    def drive(
+        self, sched: Scheduler | None, *, log_steps: bool = False, net: Any = None
+    ) -> None:
+        """Hand the core the engine's scheduler (and its transport *net*,
+        if any) for batched runs; ``None`` takes them back.
 
         Nothing is copied: a :class:`RandomScheduler`'s pool is sampled
         and appended to in place, and any other scheduler hears every
         event through its public hooks, so the object loop continues from
         the same scheduler state after a batch. With *log_steps* every
         executed step is also appended to :attr:`step_log`, for the
-        engine to hand to its tracer (:meth:`take_steps`).
+        engine to hand to its tracer (:meth:`take_steps`). A bound
+        transport reads the core's columns (``ReliableTransport.core``)
+        until it is taken back.
         """
+        if self.net is not None:
+            self.net.core = None
+        self.net = net if sched is not None else None
+        if self.net is not None:
+            self.net.core = self
         self.sched = sched
         self.step_log = [] if sched is not None and log_steps else None
         if type(sched) is RandomScheduler:
@@ -1816,12 +1836,28 @@ class EngineCore:
         self._cert_pending = True
         if self._pool is not None:
             return self._run_batch_random(sched, budget)
-        replay = isinstance(sched, ReplayScheduler)
+        select = (
+            (lambda: self._replay_select(sched))
+            if isinstance(sched, ReplayScheduler)
+            else (lambda: sched.select(None))
+        )
         slot_of = self.slot_of
         log = self.step_log
+        net = self.net
         executed = 0
         while executed < budget:
-            ev = self._replay_select(sched) if replay else sched.select(None)
+            # Engine._step_objects: the transport's due events first, and
+            # a starved scheduler waits on the transport clock.
+            if net is not None:
+                net.flush(self.steps)
+            ev = select()
+            if ev is None and net is not None:
+                for _ in range(_DRY_TRIES):
+                    if not net.run_dry():
+                        break
+                    ev = select()
+                    if ev is not None:
+                        break
             if ev is None:
                 break
             u = slot_of[ev.pid]
@@ -1870,6 +1906,10 @@ class EngineCore:
         timeout_kernel = self._timeout_kernel
         strict = self.strict
         log = self.step_log
+        net = self.net
+        if net is not None:
+            flush = net.flush
+            run_dry = net.run_dry
         # Per-step scalar counters, batched into locals and flushed on
         # every exit path: the kernels never read them mid-batch, and
         # _transition (the one callee that reads self.steps) gets the
@@ -1881,6 +1921,13 @@ class EngineCore:
         executed = 0
         try:
             while executed < budget:
+                if net is not None:
+                    # as in run_batch: transport events, then starvation
+                    flush(steps)
+                    if not pool:
+                        for _ in range(_DRY_TRIES):
+                            if not run_dry() or pool:
+                                break
                 lp = len(pool)
                 if not lp:
                     break

@@ -408,3 +408,73 @@ def test_checks_stop_when_the_watchdog_is_taken_off() -> None:
         engine.run(1000)
         seen[mode] = guard.checks
     assert seen == dict.fromkeys(MODES, 1000 // 8)
+
+
+def test_a_second_engine_opens_a_new_backlog_window() -> None:
+    """The trip on a second engine reports that engine's window: it
+    opens at the second engine's first multiple, not at the first
+    engine's (whose backlog there was far below the flood)."""
+    for mode in MODES:
+        guard = BacklogWatchdog(check_every=8, max_pending=3000)
+        first = _engine(mode, 6, 64, monitors=(guard,))
+        first.run(2000)
+        first.monitors.remove(guard)
+        second = _engine(mode, 7, 64, monitors=(guard,))
+        _flood(second, 3000)
+        step, diagnosis, _checks = _trip(second, guard, [500])
+        assert step == 8
+        assert diagnosis["window_steps"] == 0
+        assert diagnosis["pending_start"] == diagnosis["pending"] > 3000
+
+
+def _stalled_pair(seed: int):
+    """Two attached engines in the same state, with no step run."""
+    engines = [_engine("objects", seed, 24) for _ in range(2)]
+    for engine in engines:
+        engine.attach()
+    return engines
+
+
+@pytest.mark.parametrize("kind", ["livelock", "no_progress", "retransmit_storm"])
+def test_a_window_never_spans_two_engines(kind) -> None:
+    """A window opened on one engine and completed by calls on another
+    would compare two engines' counters; the watchdog restarts it on
+    the first call by a new engine. The control: the same calls on one
+    engine trip."""
+    from repro.chaos.watchdogs import (
+        LivelockWatchdog,
+        NoProgressWatchdog,
+        RetransmitStormWatchdog,
+    )
+    from repro.net import NetStats
+
+    def make():
+        if kind == "livelock":
+            return LivelockWatchdog(check_every=1, window=3, min_backlog_growth=1, raise_on_trip=False)
+        if kind == "no_progress":
+            return NoProgressWatchdog(check_every=1, window=3, raise_on_trip=False)
+        return RetransmitStormWatchdog(
+            check_every=1, window=3, min_retransmits=1, ratio=1.0, raise_on_trip=False
+        )
+
+    def nudge(engine, calls: int) -> None:
+        # grow what the kind watches between two of its samples
+        if kind == "livelock":
+            _flood(engine, 4)
+        elif kind == "retransmit_storm":
+            engine.net_stats = NetStats(retransmits=8 * calls)
+
+    for moved in (False, True):
+        guard = make()
+        first, second = _stalled_pair(5)
+        for engine in (first, second):
+            engine.net_stats = NetStats()
+        guard(first, None)
+        nudge(first, 1)
+        guard(first, None)
+        target = second if moved else first
+        nudge(target, 2)
+        if moved:
+            nudge(target, 2)  # the second engine ran as far as the first
+        guard(target, None)
+        assert (guard.tripped is not None) is not moved

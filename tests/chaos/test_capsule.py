@@ -251,6 +251,26 @@ class TestNetCapsules:
         assert replayed.step_count == len(capsule.schedule)
         assert replayed.net is not None
 
+    @pytest.mark.parametrize("transport", [True, False])
+    def test_net_capsule_replays_on_the_core(self, tmp_path, transport):
+        """A v3 capsule replays bit-identically on the SoA core, which
+        drives the rebuilt transport step by step: the same transport
+        stats and retransmit journal. With the transport record dropped
+        the schedule still replays on the core (a transport only times
+        announcements), to the same final counters."""
+        capsule = self._net_capsule(tmp_path)
+        if not transport:
+            capsule.scenario = dict(capsule.scenario, net=None)
+        replayed = replay_capsule(capsule, engine_mode="soa")
+        status = replayed.core_status
+        assert status["active"] and status["reason"] is None
+        assert replayed.step_count == len(capsule.schedule)
+        if transport:
+            assert replayed.net.stats.as_dict() == capsule.net["stats"]
+            assert journal_digest(list(replayed.net.journal)) == capsule.net["digest"]
+        else:
+            assert replayed.net is None
+
     def test_transportless_capsule_has_null_net(self, tmp_path):
         result = run_chaos(
             HEALTHY_FDP,

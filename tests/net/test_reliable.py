@@ -21,6 +21,14 @@ from repro.net import (
 from repro.sim.states import PState
 
 
+def open_flights(transport):
+    """(dst, flight) of every open flight; a channel key is
+    ``src << 32 | dst``."""
+    for chan, flights in transport._flights.items():
+        for flight in flights.values():
+            yield chan & 0xFFFFFFFF, flight
+
+
 def build_faulty_fdp(seed=2, n=12, *, net_overrides=None, **cfg_kw):
     edges = gen.random_connected(n, 3, seed=seed)
     leaving = choose_leaving(n, edges, fraction=0.3, seed=seed)
@@ -62,11 +70,10 @@ class TestRefConservation:
         # every tracked unannounced flight's message is still in the
         # destination channel, and the pending counter agrees
         tracked = 0
-        for (_src, dst), flights in transport._flights.items():
-            for flight in flights.values():
-                assert not flight.announced
-                assert flight.mseq in engine.channels[dst]
-                tracked += 1
+        for dst, flight in open_flights(transport):
+            assert not flight.announced
+            assert flight.mseq in engine.channels[dst]
+            tracked += 1
         assert tracked > 0
         assert engine.pending_count == sum(
             len(ch) for ch in engine.channels.values()
@@ -155,9 +162,8 @@ class TestGoneTargets:
         )
         assert engine.run(1_000_000, until=fdp_legitimate, check_every=64)
         # nothing keeps retransmitting at a gone process
-        for (_src, dst), flights in transport._flights.items():
-            if flights:
-                assert engine.processes[dst].state is not PState.GONE
+        for dst, _flight in open_flights(transport):
+            assert engine.processes[dst].state is not PState.GONE
         journal_events = {entry["ev"] for entry in transport.journal}
         if transport.stats.cancelled_gone:
             assert "cancel" in journal_events
@@ -189,30 +195,39 @@ class TestDeterminism:
         assert ta.stats.as_dict() != tb.stats.as_dict()
 
 
+def _transport_run(mode, n, seed):
+    edges = gen.random_connected(n, 3, seed=seed)
+    leaving = choose_leaving(n, edges, fraction=0.3, seed=seed)
+    engine = build_fdp_engine(n, edges, leaving, seed=seed, engine_mode=mode)
+    transport = ReliableTransport.from_config(default_net_config(seed)).install(engine)
+    return engine, transport
+
+
+def _outcome(engine, transport):
+    return (
+        engine.step_count,
+        engine.stats.as_dict(),
+        transport.stats.as_dict(),
+        list(transport.journal),
+    )
+
+
 class TestEngineIntegration:
-    def test_install_reports_core_unsupported(self):
-        n, seed = 10, 12
-        edges = gen.random_connected(n, 3, seed=seed)
-        leaving = choose_leaving(n, edges, fraction=0.3, seed=seed)
-        engine = build_fdp_engine(
-            n, edges, leaving, seed=seed, engine_mode="verify"
-        )
-        ReliableTransport.from_config(default_net_config(seed)).install(engine)
+    @pytest.mark.parametrize("mode", ["verify", "soa"])
+    def test_install_keeps_the_core(self, mode):
+        engine, _transport = _transport_run(mode, 10, 12)
         engine.attach()
         status = engine.core_status
-        assert not status["active"]
-        assert "reliable transport" in (status["reason"] or "")
+        assert status["active"] and status["reason"] is None
 
-    def test_soa_mode_falls_back_to_object_loop(self):
-        n, seed = 10, 13
-        edges = gen.random_connected(n, 3, seed=seed)
-        leaving = choose_leaving(n, edges, fraction=0.3, seed=seed)
-        engine = build_fdp_engine(
-            n, edges, leaving, seed=seed, engine_mode="soa"
-        )
-        ReliableTransport.from_config(default_net_config(seed)).install(engine)
+    def test_soa_mode_runs_on_the_core(self):
+        reference = _transport_run("objects", 10, 13)
+        engine, transport = _transport_run("soa", 10, 13)
+        assert reference[0].run(1_000_000, until=fdp_legitimate, check_every=64)
         assert engine.run(1_000_000, until=fdp_legitimate, check_every=64)
-        assert not engine.core_status["active"]
+        status = engine.core_status
+        assert status["active"] and status["reason"] is None
+        assert _outcome(engine, transport) == _outcome(*reference)
 
     def test_build_from_meta_installs_transport(self):
         meta = {

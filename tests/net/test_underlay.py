@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.underlay import BURST_KINDS, Underlay, UnderlayConfig
 
@@ -118,6 +120,33 @@ class TestBursts:
         assert {k.removeprefix("net_") for k in NET_CAMPAIGN_KINDS} == set(
             BURST_KINDS
         )
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 1000),
+    loss=st.floats(-0.2, 1.2),
+    dup=st.floats(-0.2, 1.2),
+    delay=st.floats(-0.2, 1.2),
+    delay_span=st.tuples(st.integers(1, 50), st.integers(0, 50)),
+    partition_at=st.none() | st.integers(0, 40),
+    src=st.integers(0, 30),
+    dst=st.integers(0, 30),
+    key=st.text("ad:0123456789", max_size=8),
+    step=st.integers(0, 80),
+)
+def test_the_burst_free_fate_draws_what_the_general_path_draws(
+    seed, loss, dup, delay, delay_span, partition_at, src, dst, key, step
+) -> None:
+    """Without bursts, :meth:`Underlay.fate` skips the per-kind burst
+    sums; its fate is the general path's, draw for draw."""
+    low, extra = delay_span
+    u = make(
+        seed=seed, loss=loss, dup=dup, delay=delay, delay_min=low,
+        delay_max=low + extra, partition_at=partition_at, partition_for=20,
+    )
+    assert u.fate(src, dst, key, step) == u._burst_fate(src, dst, key, step)
 
 
 class TestConfig:
