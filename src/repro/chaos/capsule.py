@@ -22,7 +22,12 @@ everything needed to re-execute the failure bit-identically:
   (which frames were dropped/duplicated/delayed/retransmitted), not
   replay input — the scenario meta's ``net`` key rebuilds the
   transport, and the recorded schedule alone pins the execution, so
-  replay is bit-identical whether or not the transport re-runs;
+  replay is bit-identical whether or not the transport re-runs. A
+  capsule captured before fates came from one keyed hash
+  (:mod:`repro.net.underlay`) holds a journal of the older
+  per-attempt reseeding: it is evidence of that run, a re-attached
+  transport no longer regenerates it, and the capsule still replays
+  bit-identically through its schedule;
 * the watchdog configs, the trip diagnosis, the error text and the
   final counters — the claim the replay is verified against.
 

@@ -38,12 +38,9 @@ import heapq
 import json
 from collections import deque
 from dataclasses import dataclass
-from random import Random
 from typing import TYPE_CHECKING, Any
 
-from repro.net.underlay import Underlay, UnderlayConfig
-from repro.sim.soa import _GONE
-from repro.sim.states import PState
+from repro.net.underlay import ACK, DATA, RTO, Underlay, UnderlayConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -213,7 +210,6 @@ class ReliableTransport:
         self._now = 0
         self._eid = 0
         self._ack_id = 0
-        self._rng = Random()
         # event heap, ordered by (due, eid); chan = src << 32 | dst:
         #   (due, eid, "d", chan, tseq)   data-frame arrival at dst
         #   (due, eid, "a", chan, floor)  ack arrival at src
@@ -278,9 +274,8 @@ class ReliableTransport:
 
     def _rto_after(self, src: int, dst: int, tseq: int, attempt: int) -> int:
         base = self._base(attempt)
-        rng = self._rng
-        rng.seed(f"{self.underlay.config.seed}:rto:{src}:{dst}:{tseq}:{attempt}")
-        factor = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
+        uniform = (self.underlay.words(RTO, src, dst, tseq, attempt)[0] >> 11) * 2.0**-53
+        factor = 1.0 + self.jitter * (2.0 * uniform - 1.0)
         return max(1, int(base * factor))
 
     def _rto_bounds(self, attempt: int) -> tuple[int, int]:
@@ -315,7 +310,7 @@ class ReliableTransport:
 
     def _transmit(self, chan: int, src: int, dst: int, tseq: int, attempt: int) -> None:
         """Roll the fate of one data-frame attempt, schedule arrivals."""
-        fate = self.underlay.fate(src, dst, f"d:{tseq}:{attempt}", self._now)
+        fate = self.underlay.fate(src, dst, DATA, tseq, attempt, self._now)
         if fate.blocked or fate.dropped:
             self.stats.dropped += 1
             self._log("part" if fate.blocked else "drop", src, dst, tseq, attempt)
@@ -336,7 +331,7 @@ class ReliableTransport:
         """Ack travels dst -> src; lossy like any other frame."""
         self.stats.acks += 1
         self._ack_id += 1
-        fate = self.underlay.fate(dst, src, f"a:{self._ack_id}", self._now)
+        fate = self.underlay.fate(dst, src, ACK, self._ack_id, 0, self._now)
         if fate.blocked or fate.dropped:
             self._log("ack_drop", src, dst, tseq, 0)
             return
@@ -346,20 +341,15 @@ class ReliableTransport:
             self._eid += 1
             heapq.heappush(events, (now + offset, self._eid, "a", chan, floor))
 
-    def _gone(self, pid: int) -> bool:
-        """Whether *pid* departed (or was reaped, or is unknown)."""
-        core = self.core
-        if core is not None:
-            u = core.slot_of.get(pid)
-            return u is None or core.state_[u] == _GONE
-        engine = self.engine
-        proc = engine.processes.get(pid) if engine is not None else None
-        return proc is None or proc.state is PState.GONE
-
     def _announce(self, dst: int, mseq: int) -> bool:
-        """Tell the scheduler the message became deliverable."""
+        """Tell the scheduler the message became deliverable.
+
+        Its flight is open, so *dst* has not departed: :meth:`on_gone`
+        closes every flight into a departing process, and no flight
+        opens into a departed one (a post to it bounces).
+        """
         engine = self.engine
-        if engine is None or self._gone(dst):
+        if engine is None:
             return False
         core = self.core
         channel = engine.channels[dst] if core is None else core.ch[core.slot_of[dst]]
@@ -422,11 +412,6 @@ class ReliableTransport:
             return False  # acked or cancelled in the meantime
         src = chan >> _SRC_SHIFT
         dst = chan & _DST_MASK
-        if self._gone(dst):
-            del flights[tseq]
-            self.stats.cancelled_gone += 1
-            self._log("cancel", src, dst, tseq, flight.attempts)
-            return False
         flight.attempts += 1
         self.stats.retransmits += 1
         self._log("rtx", src, dst, tseq, flight.attempts)

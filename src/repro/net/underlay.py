@@ -6,12 +6,21 @@ touching engine state. A fate is a pure function of
 
     (underlay seed, attempt identity, virtual step)
 
-where the attempt identity is the ``(src, dst, key)`` triple the
-transport derives from its per-channel sequence numbers. Two runs with
-the same underlay configuration therefore assign the same fate to the
-same attempt no matter what order the attempts are processed in, which
-is what makes faulty runs capsule-capturable and bit-identically
+where the attempt identity is the integer tuple ``(domain, src, dst,
+serial, attempt)``: the transport names a data frame by its
+per-channel sequence number and attempt, an ack by its ack id. Two runs
+with the same underlay configuration therefore assign the same fate to
+the same attempt no matter what order the attempts are processed in,
+which is what makes faulty runs capsule-capturable and bit-identically
 replayable.
+
+Every draw of one identity comes from one keyed hash (:meth:`Underlay.words`):
+BLAKE2b, keyed by the seed, over the packed identity, cut into five
+64-bit words. A fate reads them in fixed roles: loss, first delay,
+duplication, copy delay, and the two arrival offsets in the halves of
+the fifth word. The retransmit jitter and the partition side read the
+first word of their own domain. The derivation depends on neither the
+interpreter's hash seed nor its version.
 
 Chaos campaigns escalate faults mid-run through *bursts*: bounded step
 windows that add loss/dup/delay probability or open an extra partition
@@ -22,9 +31,28 @@ cut. Bursts are themselves injected on a seeded schedule (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from random import Random
+from hashlib import blake2b
+from struct import Struct
 
-__all__ = ["Fate", "Underlay", "UnderlayConfig"]
+from repro.errors import ConfigurationError
+
+__all__ = ["ACK", "DATA", "RTO", "SIDE", "Fate", "Underlay", "UnderlayConfig"]
+
+#: the domains of an attempt identity: what its serial counts.
+DATA, ACK, RTO, SIDE = range(4)
+
+#: an identity: (domain, src, dst, serial, attempt), signed 64-bit each
+_IDENTITY = Struct("<5q")
+#: a digest: five unsigned 64-bit words
+_WORDS = Struct("<5Q")
+_TWO64 = float(1 << 64)
+_LOW32 = (1 << 32) - 1
+
+
+def _seed_key(seed: int) -> bytes:
+    """The BLAKE2b key of an underlay seed: its two's-complement bytes."""
+    return seed.to_bytes(seed.bit_length() // 8 + 1, "little", signed=True)
+
 
 #: burst kinds a campaign may overlay on the base fault rates.
 BURST_KINDS = ("loss", "dup", "delay", "partition")
@@ -50,6 +78,14 @@ class UnderlayConfig:
     delay_max: int = 32
     partition_at: int | None = None
     partition_for: int = 0
+
+    def __post_init__(self) -> None:
+        # an offset is delay_min plus a share of the span: an empty span
+        # would put arrivals before delay_min, or before the send
+        if self.delay_max < self.delay_min:
+            raise ConfigurationError(
+                f"delay_max {self.delay_max} < delay_min {self.delay_min}"
+            )
 
     def as_dict(self) -> dict:
         return {
@@ -119,12 +155,43 @@ class Underlay:
 
     def __post_init__(self) -> None:
         self._side_cache: dict[int, int] = {}
-        #: reseeded for every attempt: ``seed(key)`` then draws exactly
-        #: what a fresh ``Random(key)`` would, without the allocation.
-        self._rng = Random()
-        #: (config, loss, dup, delay): the clamped base rates of the
-        #: config they were read from, for the burst-free fast path
-        self._rates: tuple = (None,)
+        #: (config, seed-keyed hash, loss, dup, delay): what the config
+        #: they were read from derives, the base rates scaled to
+        #: thresholds on a 64-bit word
+        self._keyed: tuple = (None,)
+
+    def _derive(self) -> tuple:
+        """The keyed hash and base thresholds of the current config."""
+        cfg = self.config
+        keyed = self._keyed
+        if keyed[0] is not cfg:
+            self._side_cache.clear()
+            keyed = self._keyed = (
+                cfg,
+                blake2b(digest_size=_WORDS.size, key=_seed_key(cfg.seed)),
+                cfg.loss * _TWO64,
+                cfg.dup * _TWO64,
+                cfg.delay * _TWO64,
+            )
+        return keyed
+
+    def words(
+        self, domain: int, src: int, dst: int, serial: int, attempt: int
+    ) -> tuple[int, int, int, int, int]:
+        """The five 64-bit words of one identity: every draw it gets.
+
+        A probability-*p* draw on a word succeeds when the word is below
+        ``p · 2**64``; a uniform on ``[0, 1)`` is its top 53 bits.
+        """
+        hashed = self._derive()[1].copy()
+        hashed.update(_IDENTITY.pack(domain, src, dst, serial, attempt))
+        return _WORDS.unpack(hashed.digest())
+
+    def _offset(self, half: int) -> int:
+        """The arrival offset a 32-bit half-word picks in
+        ``[delay_min, delay_max]``."""
+        cfg = self.config
+        return cfg.delay_min + ((half * (cfg.delay_max - cfg.delay_min + 1)) >> 32)
 
     # ------------------------------------------------------------- partitions
 
@@ -132,7 +199,7 @@ class Underlay:
         """Seeded bipartition side of ``pid`` (stable for the run)."""
         cached = self._side_cache.get(pid)
         if cached is None:
-            cached = Random(f"{self.config.seed}:side:{pid}").randrange(2)
+            cached = self.words(SIDE, pid, 0, 0, 0)[0] >> 63
             self._side_cache[pid] = cached
         return cached
 
@@ -163,22 +230,24 @@ class Underlay:
 
     # ------------------------------------------------------------------ fates
 
-    def fate(self, src: int, dst: int, key: str, step: int) -> Fate:
-        """Fate of one attempt — pure in (seed, src, dst, key, step).
+    def fate(
+        self, src: int, dst: int, domain: int, serial: int, attempt: int, step: int
+    ) -> Fate:
+        """Fate of one attempt — pure in (seed, identity, step).
 
-        ``key`` must be unique per attempt (the transport uses
-        ``"d:<tseq>:<attempt>"`` for data frames and ``"a:<ack id>"``
-        for acks); the step only enters through the partition window
-        and the burst-adjusted rates, so a replayed attempt with the
-        same identity at the same step draws the same fate.
+        ``(domain, serial, attempt)`` must be unique per attempt on the
+        ``src -> dst`` path (the transport uses ``(DATA, tseq,
+        attempt)`` for data frames and ``(ACK, ack id, 0)`` for acks);
+        the step only enters through the partition window and the
+        burst-adjusted rates, so a replayed attempt with the same
+        identity at the same step draws the same fate.
 
         Without bursts the rates are the configured ones at every step,
-        and the draws below are those of the general path
-        (:meth:`_burst_fate`) in the same order: loss, the first
-        arrival's delay, duplication, the copy's delay.
+        and the words below play the roles they play on the general
+        path (:meth:`_burst_fate`).
         """
         if self.bursts:
-            return self._burst_fate(src, dst, key, step)
+            return self._burst_fate(src, dst, domain, serial, attempt, step)
         cfg = self.config
         at = cfg.partition_at
         if (
@@ -187,22 +256,20 @@ class Underlay:
             and self.side(src) != self.side(dst)
         ):
             return _BLOCKED
-        rates = self._rates
-        if rates[0] is not cfg:
-            rates = self._rates = (
-                cfg, min(1.0, cfg.loss), min(1.0, cfg.dup), min(1.0, cfg.delay)
-            )
-        _cfg, loss, dup, delay = rates
-        rng = self._rng
-        rng.seed(f"{cfg.seed}:{src}>{dst}:{key}")
-        random = rng.random
-        if random() < loss:
+        keyed = self._keyed
+        if keyed[0] is not cfg:
+            keyed = self._derive()
+        _cfg, hashed, loss, dup, delay = keyed
+        hashed = hashed.copy()  # :meth:`words`, inlined
+        hashed.update(_IDENTITY.pack(domain, src, dst, serial, attempt))
+        lost, late, twice, copy_late, offsets = _WORDS.unpack(hashed.digest())
+        if lost < loss:
             return _DROPPED
-        late = random() < delay
-        first = rng.randint(cfg.delay_min, cfg.delay_max) if late else 0
-        if random() < dup:
-            if random() < delay:
-                extra = rng.randint(cfg.delay_min, cfg.delay_max)
+        late = late < delay  # from here on a flag, not a word
+        first = self._offset(offsets & _LOW32) if late else 0
+        if twice < dup:
+            if copy_late < delay:
+                extra = self._offset(offsets >> 32)
                 late = True
             else:
                 extra = 0
@@ -211,29 +278,26 @@ class Underlay:
             return Fate(arrivals=(first,), delayed=True)
         return _PROMPT
 
-    def _burst_fate(self, src: int, dst: int, key: str, step: int) -> Fate:
+    def _burst_fate(
+        self, src: int, dst: int, domain: int, serial: int, attempt: int, step: int
+    ) -> Fate:
         """:meth:`fate` with the bursts active at *step* added in."""
         if self.blocks(src, dst, step):
             return _BLOCKED
         cfg = self.config
-        rng = self._rng
-        rng.seed(f"{cfg.seed}:{src}>{dst}:{key}")
-        if rng.random() < self._rate("loss", cfg.loss, step):
+        lost, late, twice, copy_late, offsets = self.words(
+            domain, src, dst, serial, attempt
+        )
+        if lost < self._rate("loss", cfg.loss, step) * _TWO64:
             return _DROPPED
-        first, late = self._offset(rng, step)
-        arrivals = [first]
-        duplicated = rng.random() < self._rate("dup", cfg.dup, step)
+        delay = self._rate("delay", cfg.delay, step) * _TWO64
+        late = late < delay  # from here on a flag, not a word
+        arrivals = [self._offset(offsets & _LOW32) if late else 0]
+        duplicated = twice < self._rate("dup", cfg.dup, step) * _TWO64
         if duplicated:
-            extra, extra_late = self._offset(rng, step)
-            arrivals.append(extra)
-            late = late or extra_late
+            copy_late = copy_late < delay
+            arrivals.append(self._offset(offsets >> 32) if copy_late else 0)
+            late = late or copy_late
         return Fate(
             arrivals=tuple(arrivals), duplicated=duplicated, delayed=late
         )
-
-    def _offset(self, rng: Random, step: int) -> tuple[int, bool]:
-        """One arrival-offset draw: (offset, was-it-delayed)."""
-        cfg = self.config
-        if rng.random() < self._rate("delay", cfg.delay, step):
-            return rng.randint(cfg.delay_min, cfg.delay_max), True
-        return 0, False

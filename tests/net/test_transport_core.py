@@ -17,10 +17,13 @@ departure cancels the flights to the departed process. These tests pin:
   the same way on both cores;
 * a retransmit timer's lower bound never exceeds its drawn due, and the
   starvation fast-forward pops the events of the eager timers it
-  replaces, whose figures are pinned.
+  replaces: a transport that draws every due at its push reaches the
+  same clock and counters.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import pytest
 from hypothesis import given, settings
@@ -36,9 +39,11 @@ from repro.core.scenarios import (
 )
 from repro.graphs import generators as gen
 from repro.net import ReliableTransport, default_net_config, journal_digest
+from repro.net.reliable import _DST_MASK, _SRC_SHIFT
 from repro.sim.engine import Engine
 from repro.sim.replay import ReplayScheduler, ScheduleRecorder
-from repro.sim.soa import EngineCore
+from repro.sim.soa import _GONE, EngineCore
+from repro.sim.states import PState
 from tests.chaos.test_campaign_core import _final_state
 from tests.sim.test_attach_setup import _Spy
 
@@ -148,6 +153,45 @@ def test_a_core_dropped_mid_run_hands_the_transport_back() -> None:
     assert seen["objects"] == seen["soa"] == seen["verify"]
 
 
+def _departed(transport: ReliableTransport, pid: int) -> bool:
+    """Whether *pid* is gone, in whichever state the run drives."""
+    core = transport.core
+    if core is not None:
+        u = core.slot_of.get(pid)
+        return u is None or core.state_[u] == _GONE
+    proc = transport.engine._processes.get(pid)
+    return proc is None or proc.state is PState.GONE
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_no_frame_and_no_announcement_reaches_a_departed_process(seed: int) -> None:
+    """Departures under 30% loss: closing a departing process's flights
+    is what keeps every retransmission and every ``notify_send`` away
+    from it, in every mode."""
+    seen = {}
+    for mode in MODES:
+        engine = _engine(mode, seed, net=False)
+        config = default_net_config(seed, loss=0.3, dup=0.1, delay=0.2)
+        transport = ReliableTransport.from_config(config).install(engine)
+        transmit = transport._transmit
+        notify_send = engine.scheduler.notify_send
+
+        def spy_transmit(chan, src, dst, tseq, attempt, transport=transport):
+            assert attempt == 1 or not _departed(transport, dst), ("retransmit", dst)
+            transmit(chan, src, dst, tseq, attempt)
+
+        def spy_notify(dst, *args, transport=transport):
+            assert not _departed(transport, dst), ("notify_send", dst)
+            return notify_send(dst, *args)
+
+        transport._transmit = spy_transmit
+        engine.scheduler.notify_send = spy_notify
+        assert engine.run(BUDGET, until=fdp_legitimate, check_every=64)
+        assert engine.stats.exits and transport.stats.cancelled_gone
+        seen[mode] = transport.stats.as_dict()
+    assert seen["objects"] == seen["soa"] == seen["verify"]
+
+
 @pytest.mark.parametrize("net", [True, False])
 def test_a_recorded_schedule_replays_on_the_core(net: bool) -> None:
     recorder = ScheduleRecorder()
@@ -231,7 +275,9 @@ def test_a_timer_bound_encloses_its_drawn_due(
     assert low <= transport._rto_after(3, 5, tseq, attempt) <= high
 
 
-def _starved_transport(loss: float, warm: int) -> ReliableTransport:
+def _starved_transport(
+    loss: float, warm: int, kind: type[ReliableTransport] = ReliableTransport
+) -> ReliableTransport:
     """Frames posted outside any run, then a fast-forward under total
     loss: *warm* steps of prompt traffic first, whose acked flights
     leave timers behind that the fast-forward must still pop."""
@@ -242,7 +288,7 @@ def _starved_transport(loss: float, warm: int) -> ReliableTransport:
         seed=seed, engine_mode="objects",
     )
     config = default_net_config(seed, loss=loss, dup=0.0, delay=0.0, partition_at=None)
-    transport = ReliableTransport.from_config(config).install(engine)
+    transport = kind.from_config(config).install(engine)
     engine.attach()
     seq = 10_000
     for step in range(warm):
@@ -260,26 +306,36 @@ def _starved_transport(loss: float, warm: int) -> ReliableTransport:
     return transport
 
 
-@pytest.mark.parametrize(
-    "loss, warm, now, retransmits, sends",
-    [
-        # figures of the transport that drew every timer's due at its push
-        (1.0, 0, 1_567_485, 10_000, 13),
-        (0.0, 12, 1_563_985, 9_994, 49),
-    ],
-)
-def test_a_fast_forward_pops_what_eager_timers_would(
-    loss, warm, now, retransmits, sends
-) -> None:
+class _EagerTransport(ReliableTransport):
+    """The reference the lower-bound timers stand in for: every timer
+    enters the heap at its drawn due."""
+
+    def _arm(self, chan: int, tseq: int, attempt: int) -> None:
+        self._eid += 1
+        now = self._now
+        due = now + self._rto_after(chan >> _SRC_SHIFT, chan & _DST_MASK, tseq, attempt)
+        heapq.heappush(self._events, (due, self._eid, "r", chan, tseq, attempt, now))
+
+
+@pytest.mark.parametrize("loss, warm", [(1.0, 0), (0.0, 12)])
+def test_a_fast_forward_pops_what_eager_timers_would(loss, warm) -> None:
     """The fast-forward stops at its cap of 10,000 events: retransmits
-    plus the timers that found their flight acked (6 of the warm-up's),
-    each of which still moves the clock."""
-    transport = _starved_transport(loss, warm)
-    assert not transport.run_dry()
-    assert transport._now == now
-    stats = transport.stats
-    assert (stats.retransmits, stats.sends) == (retransmits, sends)
-    assert stats.dropped == retransmits + 13  # every attempt under the burst
+    plus the timers that found their flight acked, each of which still
+    moves the clock, as it does when every due is drawn at the push."""
+    seen = []
+    for kind in (ReliableTransport, _EagerTransport):
+        transport = _starved_transport(loss, warm, kind)
+        assert not transport.run_dry()
+        stats = transport.stats
+        seen.append((transport._now, stats.retransmits, stats.sends, stats.dropped))
+    assert seen[0] == seen[1]
+    _now, retransmits, sends, dropped = seen[0]
+    assert sends == 13 + 3 * warm
+    assert dropped == retransmits + 13  # every attempt under the burst
+    if warm:
+        assert retransmits < 10_000  # acked flights' timers were popped
+    else:
+        assert retransmits == 10_000
 
 
 def test_long_backoff_saturates_at_the_cap() -> None:
